@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.metrics import trace_transactions_per_day
 from repro.harness import (
     NullCache,
     ResultCache,
@@ -55,17 +54,6 @@ def sim_config():
 def fork_result(result_cache, sim_config):
     """The full nine-month, two-chain reconstruction (cached)."""
     return execute_job(simulate_spec(sim_config), result_cache).value
-
-
-@pytest.fixture(scope="session")
-def daily_tx_totals(fork_result):
-    eth = trace_transactions_per_day(
-        fork_result.eth_trace, fork_result.fork_timestamp
-    )
-    etc = trace_transactions_per_day(
-        fork_result.etc_trace, fork_result.fork_timestamp
-    )
-    return eth, etc
 
 
 @pytest.fixture(scope="session")

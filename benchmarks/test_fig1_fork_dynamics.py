@@ -36,7 +36,9 @@ def test_figure_1(benchmark, fork_result, output_dir):
     assert first_day.min() < 15
 
     # ...recovers to the target rate in about two days...
-    report = stabilization_time(fork_result.etc_trace, fork_ts)
+    report = stabilization_time(
+        fork_result.to_database(columnar=True), "ETC", fork_ts
+    )
     print(
         f"\nETC stabilization: {report.stabilization_days:.2f} days "
         f"(paper: ~2); peak delta {report.peak_delta_seconds:.0f}s "

@@ -25,7 +25,11 @@ def test_stabilization_and_long_term(
 
     report = benchmark.pedantic(
         stabilization_time,
-        args=(fork_result.etc_trace, fork_result.fork_timestamp),
+        args=(
+            fork_result.to_database(columnar=True),
+            "ETC",
+            fork_result.fork_timestamp,
+        ),
         rounds=1,
         iterations=1,
     )

@@ -12,7 +12,7 @@ Run: ``python examples/attack_economics.py``
 """
 
 from repro.core.flows import daily_hashrate_series
-from repro.core.metrics import trace_daily_mean_difficulty
+from repro.core.metrics import daily_mean_difficulty
 from repro.scenarios import assess_attack_window, vulnerability_window_days
 from repro.sim import ForkSimConfig, ForkSimulation
 
@@ -23,7 +23,9 @@ def main() -> None:
     fork_ts = result.fork_timestamp
 
     etc_hashrate = daily_hashrate_series(result.etc_trace, fork_ts)
-    etc_difficulty = trace_daily_mean_difficulty(result.etc_trace, fork_ts)
+    etc_difficulty = daily_mean_difficulty(
+        result.to_database(columnar=True), "ETC", fork_ts
+    )
     days = min(len(etc_hashrate), len(etc_difficulty), 90)
     prices = [result.rates.rate("ETC", day) for day in range(days)]
 

@@ -57,7 +57,9 @@ def act_two_the_network_dynamics() -> None:
     print()
     print(figure.render(sample_days=3))
 
-    report = stabilization_time(result.etc_trace, result.fork_timestamp)
+    report = stabilization_time(
+        result.to_database(columnar=True), "ETC", result.fork_timestamp
+    )
     print()
     print(f"ETC lost ~99% of its hashpower at the fork instant.")
     print(f"peak inter-block delta: {report.peak_delta_seconds:.0f}s "

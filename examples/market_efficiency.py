@@ -11,7 +11,7 @@ Run: ``python examples/market_efficiency.py``
 """
 
 from repro.core import figure_3, market_efficiency_report
-from repro.core.metrics import trace_daily_mean_difficulty
+from repro.core.metrics import daily_mean_difficulty
 from repro.core.market_analysis import hashes_per_usd_series
 from repro.data.windows import DAY
 from repro.sim import ForkSimConfig, ForkSimulation
@@ -25,12 +25,13 @@ def main() -> None:
     print()
     print(figure.render(sample_days=10))
 
+    db = result.to_database(columnar=True)
     eth = hashes_per_usd_series(
-        trace_daily_mean_difficulty(result.eth_trace, result.fork_timestamp),
+        daily_mean_difficulty(db, "ETH", result.fork_timestamp),
         result.rates, "ETH", result.fork_timestamp,
     )
     etc = hashes_per_usd_series(
-        trace_daily_mean_difficulty(result.etc_trace, result.fork_timestamp),
+        daily_mean_difficulty(db, "ETC", result.fork_timestamp),
         result.rates, "ETC", result.fork_timestamp,
     )
     report = market_efficiency_report(eth, etc, result.fork_timestamp)

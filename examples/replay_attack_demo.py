@@ -24,7 +24,7 @@ from repro.chain import (
 )
 from repro.chain.processor import TransactionRejected
 from repro.core import EchoDetector, figure_4
-from repro.core.metrics import trace_transactions_per_day
+from repro.core.metrics import transactions_per_day
 from repro.evm.vm import BlockEnvironment
 from repro.scenarios import ReplayWorkload, ReplayWorkloadConfig
 from repro.sim import ForkSimConfig, ForkSimulation
@@ -99,12 +99,9 @@ def part_two_measurement() -> None:
     print("=" * 72)
     print("simulating both chains and the replay workload (270 days)...")
     result = ForkSimulation(ForkSimConfig(days=270, prefork_days=7)).run()
-    eth_daily = trace_transactions_per_day(
-        result.eth_trace, result.fork_timestamp
-    )
-    etc_daily = trace_transactions_per_day(
-        result.etc_trace, result.fork_timestamp
-    )
+    db = result.to_database(columnar=True)
+    eth_daily = transactions_per_day(db, "ETH", result.fork_timestamp)
+    etc_daily = transactions_per_day(db, "ETC", result.fork_timestamp)
     workload = ReplayWorkload(ReplayWorkloadConfig(days=270))
     records, truth = workload.generate(eth_daily.values, etc_daily.values)
 

@@ -343,11 +343,12 @@ def _run_simulation(days: int, seed: int):
 
 def _echo_detector(result):
     from .core import EchoDetector
-    from .core.metrics import trace_transactions_per_day
+    from .core.metrics import transactions_per_day
     from .scenarios.replay_attack import ReplayWorkload, ReplayWorkloadConfig
 
-    eth = trace_transactions_per_day(result.eth_trace, result.fork_timestamp)
-    etc = trace_transactions_per_day(result.etc_trace, result.fork_timestamp)
+    db = result.to_database(columnar=True)
+    eth = transactions_per_day(db, "ETH", result.fork_timestamp)
+    etc = transactions_per_day(db, "ETC", result.fork_timestamp)
     workload = ReplayWorkload(ReplayWorkloadConfig(days=result.config.days))
     records, _ = workload.generate(eth.values, etc.values)
     detector = EchoDetector()

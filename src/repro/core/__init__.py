@@ -5,6 +5,11 @@ Partition detection and stabilization analysis (Figure 1 / Observations
 Observation 4), cross-chain echo detection (Figure 4 / Observation 5),
 pool-concentration analysis (Figure 5 / Observation 6), and the figure
 generators and observation predicates that tie them to the paper.
+
+Each figure, observation and series has one implementation, reading
+chain data through the aggregated queries of an analysis database: the
+columnar view of a simulation result by default, or the record-level
+``ChainDatabase`` a caller passes as ``db`` (the oracle the tests use).
 """
 
 from .classification import (
@@ -27,25 +32,13 @@ from .market_analysis import (
     relative_gap_series,
 )
 from .metrics import (
-    block_delta_series,
     blocks_per_hour,
     contract_fraction_per_day,
     daily_mean_difficulty,
-    db_blocks_per_hour,
-    db_contract_fraction_per_day,
-    db_daily_mean_difficulty,
-    db_hourly_mean_block_delta,
-    db_transactions_per_day,
-    difficulty_series,
-    trace_block_deltas,
-    trace_blocks_per_hour,
-    trace_contract_fraction_per_day,
-    trace_daily_mean_difficulty,
-    trace_difficulty_series,
-    trace_transactions_per_day,
+    hourly_mean_block_delta,
     transactions_per_day,
 )
-from .observations import Observation, evaluate_all, evaluate_all_db
+from .observations import Observation, evaluate_all
 from .partition import (
     StabilizationReport,
     find_fork_point,
@@ -54,30 +47,21 @@ from .partition import (
     node_loss_fraction,
     peak_block_delta,
     stabilization_time,
-    stabilization_time_db,
 )
 from .pools import (
     convergence_day,
     daily_top_n_shares,
     daily_top_pools,
-    db_top_n_share_series,
     migration_consistency,
     top_n_share_series,
-    trace_top_n_share_series,
 )
 from .report import (
     FigureData,
     figure_1,
-    figure_1_db,
     figure_2,
-    figure_2_db,
     figure_3,
-    figure_3_db,
     figure_4,
-    figure_4_db,
     figure_5,
-    figure_5_db,
-    figures_from_database,
 )
 from .timeseries import TimeSeries, align, pearson
 
@@ -86,17 +70,10 @@ __all__ = [
     "align",
     "pearson",
     "blocks_per_hour",
-    "difficulty_series",
-    "block_delta_series",
+    "daily_mean_difficulty",
+    "hourly_mean_block_delta",
     "transactions_per_day",
     "contract_fraction_per_day",
-    "daily_mean_difficulty",
-    "trace_blocks_per_hour",
-    "trace_difficulty_series",
-    "trace_block_deltas",
-    "trace_transactions_per_day",
-    "trace_contract_fraction_per_day",
-    "trace_daily_mean_difficulty",
     "EchoDetector",
     "Echo",
     "EchoReport",
@@ -117,7 +94,6 @@ __all__ = [
     "StabilizationReport",
     "daily_top_n_shares",
     "top_n_share_series",
-    "trace_top_n_share_series",
     "daily_top_pools",
     "migration_consistency",
     "convergence_day",
@@ -128,24 +104,10 @@ __all__ = [
     "find_dip",
     "Observation",
     "evaluate_all",
-    "evaluate_all_db",
     "FigureData",
     "figure_1",
     "figure_2",
     "figure_3",
     "figure_4",
     "figure_5",
-    "figure_1_db",
-    "figure_2_db",
-    "figure_3_db",
-    "figure_4_db",
-    "figure_5_db",
-    "figures_from_database",
-    "db_blocks_per_hour",
-    "db_daily_mean_difficulty",
-    "db_hourly_mean_block_delta",
-    "db_transactions_per_day",
-    "db_contract_fraction_per_day",
-    "db_top_n_share_series",
-    "stabilization_time_db",
 ]

@@ -1,113 +1,36 @@
 """Chain metrics: the series plotted in Figures 1 and 2.
 
-Every function takes either a :class:`~repro.sim.blockprod.ChainTrace`
-(columnar, for month-scale data) or a :class:`~repro.data.store.ChainDatabase`
-(record-level) and returns :class:`~repro.core.timeseries.TimeSeries`
-objects ready for the report layer.
+One function per series.  Each takes an analysis database — the
+columnar :class:`~repro.data.columnar.ColumnarChainDatabase` on the
+product path, or the record-level :class:`~repro.data.store.ChainDatabase`
+that tests keep as the oracle — plus a chain name and an optional
+``start_ts`` filter, reads one aggregated query, and returns a
+:class:`~repro.core.timeseries.TimeSeries` ready for the report layer.
+No per-record iteration happens on this side of the query boundary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
-from ..data.store import ChainDatabase
 from ..data.windows import DAY, HOUR
-from ..sim.blockprod import ChainTrace
 from .timeseries import TimeSeries
 
 __all__ = [
     "blocks_per_hour",
-    "difficulty_series",
-    "block_delta_series",
+    "daily_mean_difficulty",
+    "hourly_mean_block_delta",
     "transactions_per_day",
     "contract_fraction_per_day",
-    "daily_mean_difficulty",
-    "db_blocks_per_hour",
-    "db_daily_mean_difficulty",
-    "db_hourly_mean_block_delta",
-    "db_transactions_per_day",
-    "db_contract_fraction_per_day",
-    "trace_blocks_per_hour",
-    "trace_difficulty_series",
-    "trace_block_deltas",
-    "trace_transactions_per_day",
-    "trace_contract_fraction_per_day",
-    "trace_daily_mean_difficulty",
 ]
 
 
-# -- database-backed (record-level) variants -----------------------------------
-
-
-def blocks_per_hour(db: ChainDatabase, chain: str) -> TimeSeries:
+def blocks_per_hour(db, chain: str, start_ts: Optional[float] = None) -> TimeSeries:
     """Figure 1 (top): hourly block counts.
 
     Empty hours are *not* filled here; the report layer densifies over the
     plot range so that ETC's near-zero day renders as near-zero.
     """
-    return TimeSeries.from_window_dict(
-        {k: float(v) for k, v in db.blocks_per_hour(chain).items()},
-        HOUR,
-        name=f"{chain} blocks/hour",
-    )
-
-
-def difficulty_series(db: ChainDatabase, chain: str) -> TimeSeries:
-    """Figures 1-2 (difficulty panels): per-block difficulty over time."""
-    pairs = db.difficulty_series(chain)
-    return TimeSeries(
-        [t for t, _ in pairs],
-        [float(d) for _, d in pairs],
-        name=f"{chain} difficulty",
-    )
-
-
-def block_delta_series(db: ChainDatabase, chain: str) -> TimeSeries:
-    """Figure 1 (bottom): seconds between consecutive blocks."""
-    pairs = db.block_deltas(chain)
-    return TimeSeries(
-        [t for t, _ in pairs],
-        [float(d) for _, d in pairs],
-        name=f"{chain} block delta",
-    )
-
-
-def transactions_per_day(db: ChainDatabase, chain: str) -> TimeSeries:
-    """Figure 2 (middle): daily transaction counts."""
-    return TimeSeries.from_window_dict(
-        {k: float(v) for k, v in db.transactions_per_day(chain).items()},
-        DAY,
-        name=f"{chain} tx/day",
-    )
-
-
-def contract_fraction_per_day(db: ChainDatabase, chain: str) -> TimeSeries:
-    """Figure 2 (bottom): daily contract-call fraction."""
-    return TimeSeries.from_window_dict(
-        db.contract_fraction_per_day(chain),
-        DAY,
-        name=f"{chain} contract fraction",
-    )
-
-
-def daily_mean_difficulty(db: ChainDatabase, chain: str) -> TimeSeries:
-    """Daily mean difficulty — the difficulty input to Figure 3."""
-    return difficulty_series(db, chain).resample_mean(DAY)
-
-
-# -- aggregated database variants (either backend) -------------------------------
-#
-# These wrap the aggregated queries shared by :class:`ChainDatabase` and
-# :class:`~repro.data.columnar.ColumnarChainDatabase` and are pinned
-# byte-identical to the ``trace_*`` helpers below on a full-prefix
-# database (``to_database(include_prefix=True)``), on either backend —
-# the contract ``tests/test_data_columnar.py`` enforces.  They are the
-# figure pipeline's database face: no per-record iteration happens on
-# this side of the query boundary.
-
-
-def db_blocks_per_hour(db, chain: str, start_ts: Optional[float] = None) -> TimeSeries:
-    """Figure 1 (top) from aggregated queries (= ``trace_blocks_per_hour``)."""
     return TimeSeries.from_window_dict(
         {k: float(v) for k, v in db.blocks_per_hour(chain, start_ts).items()},
         HOUR,
@@ -115,10 +38,10 @@ def db_blocks_per_hour(db, chain: str, start_ts: Optional[float] = None) -> Time
     )
 
 
-def db_daily_mean_difficulty(
+def daily_mean_difficulty(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Daily mean difficulty (= ``trace_daily_mean_difficulty``)."""
+    """Figures 1-3: daily mean block difficulty."""
     return TimeSeries.from_window_dict(
         db.daily_mean_difficulty(chain, start_ts),
         DAY,
@@ -126,11 +49,10 @@ def db_daily_mean_difficulty(
     )
 
 
-def db_hourly_mean_block_delta(
+def hourly_mean_block_delta(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Hourly mean inter-block gap
-    (= ``trace_block_deltas(...).resample_mean(HOUR)``)."""
+    """Figure 1 (bottom): hourly mean seconds between consecutive blocks."""
     return TimeSeries.from_window_dict(
         db.hourly_mean_block_delta(chain, start_ts),
         HOUR,
@@ -138,11 +60,10 @@ def db_hourly_mean_block_delta(
     )
 
 
-def db_transactions_per_day(
+def transactions_per_day(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Daily tx counts from per-block counts
-    (= ``trace_transactions_per_day``)."""
+    """Figure 2 (middle): daily transaction counts from per-block counts."""
     return TimeSeries.from_window_dict(
         {
             k: float(v)
@@ -153,102 +74,12 @@ def db_transactions_per_day(
     )
 
 
-def db_contract_fraction_per_day(
+def contract_fraction_per_day(
     db, chain: str, start_ts: Optional[float] = None
 ) -> TimeSeries:
-    """Daily contract fraction from per-block counts
-    (= ``trace_contract_fraction_per_day``)."""
+    """Figure 2 (bottom): daily contract-call fraction from per-block counts."""
     return TimeSeries.from_window_dict(
         db.block_contract_fraction_per_day(chain, start_ts),
         DAY,
         name=f"{chain} contract fraction",
     )
-
-
-# -- trace-backed (columnar) variants -------------------------------------------
-
-
-def trace_blocks_per_hour(trace: ChainTrace, start_ts: Optional[float] = None) -> TimeSeries:
-    counts: Dict[int, int] = {}
-    for timestamp in trace.timestamps:
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        index = timestamp // HOUR
-        counts[index] = counts.get(index, 0) + 1
-    return TimeSeries.from_window_dict(
-        {k: float(v) for k, v in counts.items()},
-        HOUR,
-        name=f"{trace.chain} blocks/hour",
-    )
-
-
-def trace_difficulty_series(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    timestamps = []
-    values = []
-    for timestamp, difficulty in zip(trace.timestamps, trace.difficulties):
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        timestamps.append(timestamp)
-        values.append(float(difficulty))
-    return TimeSeries(timestamps, values, name=f"{trace.chain} difficulty")
-
-
-def trace_block_deltas(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    timestamps = []
-    values = []
-    previous = None
-    for timestamp in trace.timestamps:
-        if previous is not None and (start_ts is None or timestamp >= start_ts):
-            timestamps.append(timestamp)
-            values.append(float(timestamp - previous))
-        previous = timestamp
-    return TimeSeries(timestamps, values, name=f"{trace.chain} block delta")
-
-
-def trace_transactions_per_day(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    counts: Dict[int, int] = {}
-    for timestamp, tx_count in zip(trace.timestamps, trace.tx_counts):
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        index = timestamp // DAY
-        counts[index] = counts.get(index, 0) + tx_count
-    return TimeSeries.from_window_dict(
-        {k: float(v) for k, v in counts.items()},
-        DAY,
-        name=f"{trace.chain} tx/day",
-    )
-
-
-def trace_contract_fraction_per_day(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    totals: Dict[int, int] = {}
-    contracts: Dict[int, int] = {}
-    for timestamp, tx_count, contract_count in zip(
-        trace.timestamps, trace.tx_counts, trace.contract_tx_counts
-    ):
-        if start_ts is not None and timestamp < start_ts:
-            continue
-        index = timestamp // DAY
-        totals[index] = totals.get(index, 0) + tx_count
-        contracts[index] = contracts.get(index, 0) + contract_count
-    fractions = {
-        index: contracts.get(index, 0) / totals[index]
-        for index in totals
-        if totals[index] > 0
-    }
-    return TimeSeries.from_window_dict(
-        fractions, DAY, name=f"{trace.chain} contract fraction"
-    )
-
-
-def trace_daily_mean_difficulty(
-    trace: ChainTrace, start_ts: Optional[float] = None
-) -> TimeSeries:
-    return trace_difficulty_series(trace, start_ts).resample_mean(DAY)

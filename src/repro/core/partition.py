@@ -29,7 +29,6 @@ __all__ = [
     "node_loss_fraction",
     "hashpower_loss_fraction",
     "stabilization_time",
-    "stabilization_time_db",
     "peak_block_delta",
     "StabilizationReport",
 ]
@@ -128,70 +127,6 @@ class StabilizationReport:
 
 
 def stabilization_time(
-    trace: ChainTrace,
-    fork_timestamp: int,
-    target_block_time: float = 14.0,
-    rate_tolerance: float = 0.5,
-    sustain_hours: int = 6,
-    horizon_days: int = 14,
-) -> StabilizationReport:
-    """Observation 2's statistic, computed the way the paper eyeballs it.
-
-    Finds the first hour after the fork where the hourly block count
-    reaches ``(1 - rate_tolerance)`` of the target rate and *stays* there
-    for ``sustain_hours`` consecutive hours.
-    """
-    target_per_hour = HOUR / target_block_time
-    threshold = target_per_hour * (1.0 - rate_tolerance)
-
-    indices = trace.slice_by_time(
-        fork_timestamp, fork_timestamp + horizon_days * 24 * HOUR
-    )
-    if len(indices) == 0:
-        raise ValueError("no post-fork blocks to analyze")
-
-    hourly: dict = {}
-    peak_delta = 0.0
-    previous_ts = None
-    difficulty_at_fork = trace.difficulties[indices[0]]
-    for i in indices:
-        timestamp = trace.timestamps[i]
-        hour = (timestamp - fork_timestamp) // HOUR
-        hourly[hour] = hourly.get(hour, 0) + 1
-        if previous_ts is not None:
-            peak_delta = max(peak_delta, timestamp - previous_ts)
-        previous_ts = timestamp
-
-    last_hour = max(hourly)
-    run = 0
-    recovery_hour: Optional[int] = None
-    for hour in range(0, int(last_hour) + 1):
-        if hourly.get(hour, 0) >= threshold:
-            run += 1
-            if run >= sustain_hours:
-                recovery_hour = hour - sustain_hours + 1
-                break
-        else:
-            run = 0
-
-    difficulty_at_recovery = None
-    stabilization_seconds = None
-    if recovery_hour is not None:
-        stabilization_seconds = recovery_hour * HOUR
-        recovery_ts = fork_timestamp + stabilization_seconds
-        recovered = trace.slice_by_time(recovery_ts, recovery_ts + HOUR)
-        if len(recovered) > 0:
-            difficulty_at_recovery = trace.difficulties[recovered[0]]
-
-    return StabilizationReport(
-        stabilization_seconds=stabilization_seconds,
-        peak_delta_seconds=peak_delta,
-        difficulty_at_fork=difficulty_at_fork,
-        difficulty_at_recovery=difficulty_at_recovery,
-    )
-
-
-def stabilization_time_db(
     db,
     chain: str,
     fork_timestamp: int,
@@ -200,12 +135,13 @@ def stabilization_time_db(
     sustain_hours: int = 6,
     horizon_days: int = 14,
 ) -> StabilizationReport:
-    """:func:`stabilization_time` over an analysis database.
+    """Observation 2's statistic, computed the way the paper eyeballs it.
 
-    Identical statistic computed from ``blocks_between`` windows instead
-    of trace slices — byte-identical on a full-prefix database from
-    either backend (the window is small, so the boxed records are cheap
-    even on the columnar side).
+    Finds the first hour after the fork where ``chain``'s hourly block
+    count reaches ``(1 - rate_tolerance)`` of the target rate and *stays*
+    there for ``sustain_hours`` consecutive hours.  Reads two
+    ``blocks_between`` windows of ``db``; they are small, so the boxed
+    records are cheap even on the columnar backend.
     """
     target_per_hour = HOUR / target_block_time
     threshold = target_per_hour * (1.0 - rate_tolerance)

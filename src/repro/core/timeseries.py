@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
+from ..data.windows import ordered_sum
+
 __all__ = ["TimeSeries", "pearson", "align"]
 
 
@@ -118,7 +120,7 @@ class TimeSeries:
         finite = [v for v in self.values if not math.isnan(v)]
         if not finite:
             raise ValueError("series has no non-NaN values to average")
-        return sum(finite) / len(finite)
+        return ordered_sum(finite) / len(finite)
 
     def max(self) -> float:
         return max(self.values)
@@ -156,11 +158,11 @@ def pearson(a: TimeSeries, b: TimeSeries) -> float:
         raise ValueError("need at least two shared points")
     mean_a = mine.mean()
     mean_b = theirs.mean()
-    cov = sum(
+    cov = ordered_sum(
         (x - mean_a) * (y - mean_b) for x, y in zip(mine.values, theirs.values)
     )
-    var_a = sum((x - mean_a) ** 2 for x in mine.values)
-    var_b = sum((y - mean_b) ** 2 for y in theirs.values)
+    var_a = ordered_sum((x - mean_a) ** 2 for x in mine.values)
+    var_b = ordered_sum((y - mean_b) ** 2 for y in theirs.values)
     if var_a == 0 or var_b == 0:
         raise ValueError("constant series have undefined correlation")
     return cov / math.sqrt(var_a * var_b)

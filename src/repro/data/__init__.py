@@ -1,4 +1,9 @@
-"""The analysis data layer: records, windowed aggregation, storage, CSV."""
+"""The analysis data layer: records, windowed aggregation, storage, CSV.
+
+:class:`ColumnarChainDatabase` is the database every figure and
+observation reads; the record-level :class:`ChainDatabase` answers the
+same queries and is kept as the oracle the tests check it against.
+"""
 
 from .csvio import (
     read_blocks_csv,
@@ -11,7 +16,6 @@ from .csvio import (
 from .columnar import ColumnarChainDatabase
 from .records import BlockRecord, TxRecord, export_chain, export_transactions
 from .resultstore import RESULTSTORE_SCHEMA_VERSION, JobRow, ResultStore
-from .sqlstore import SqliteChainDatabase
 from .store import ChainDatabase
 from .windows import (
     DAY,
@@ -35,7 +39,6 @@ __all__ = [
     "JobRow",
     "RESULTSTORE_SCHEMA_VERSION",
     "ResultStore",
-    "SqliteChainDatabase",
     "HOUR",
     "DAY",
     "window_index",

@@ -20,9 +20,11 @@ oracle line for line.
 Byte-identity with the oracle is a contract, not an accident:
 
 * **Difficulty sums** exceed 2**53, so day means depend on IEEE addition
-  order.  The kernels use ``sum(map(float, slice))`` — CPython performs
-  the same sequential double additions as the oracle's running
+  order.  The kernels use :func:`~repro.data.windows.ordered_sum`, the
+  same left-to-right double additions as the oracle's running
   ``sums[index] + float(value)``, starting from the same exact zero.
+  The builtin ``sum`` would not do: since CPython 3.12 it compensates
+  float sums, which changes the day means' last bits.
 * **Delta and tx-count sums** stay below 2**53, so every partial sum is
   exact and telescoping (``ts[hi-1] - ts[lo-1]``) or C integer sums are
   legitimate shortcuts: they produce the *same double* after division.
@@ -46,7 +48,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .records import BlockRecord, TxRecord
 from .store import ChainDatabase
-from .windows import DAY, HOUR, window_index
+from .windows import DAY, HOUR, ordered_sum, window_index
 
 __all__ = ["ColumnarChainDatabase"]
 
@@ -342,7 +344,7 @@ class ColumnarChainDatabase:
                 hi = bisect_left(ts, (index + 1) * DAY, i, n)
                 # Same sequential IEEE additions as the oracle's running
                 # accumulation — order matters, the sums exceed 2**53.
-                out[index] = sum(map(float, diffs[i:hi])) / (hi - i)
+                out[index] = ordered_sum(map(float, diffs[i:hi])) / (hi - i)
                 i = hi
             return out
         sums: Dict[int, float] = {}

@@ -7,10 +7,10 @@ echo join.  All figures read from here — never directly from a node — so
 the analysis code is identical whether the data came from the message-level
 simulator, the fast simulator, or (in principle) a real chain export.
 
-This record-backed store is the *oracle* implementation: every aggregated
-query here has a columnar twin in
-:class:`~repro.data.columnar.ColumnarChainDatabase`, and the differential
-tests pin the two byte-identical.  Aggregations therefore accumulate in
+This record-backed store is the *test oracle*: the analysis path runs on
+its columnar twin, :class:`~repro.data.columnar.ColumnarChainDatabase`,
+and the differential tests pin every aggregated query of the two
+byte-identical.  Aggregations therefore accumulate in
 **stored order** (blocks sorted by number, the ingest invariant) with the
 exact float semantics the columnar kernels replicate.
 """
@@ -222,9 +222,9 @@ class ChainDatabase:
     ) -> Dict[int, float]:
         """Hour index -> mean inter-block gap (seconds).
 
-        Matches ``trace_block_deltas(...).resample_mean(HOUR)``: a delta
-        belongs to the *current* block's hour, and the start filter tests
-        the current block only (the previous one may predate it).
+        A delta belongs to the *current* block's hour, and the start
+        filter tests the current block only (the previous one may
+        predate it).
         """
         sums: Dict[int, float] = {}
         counts: Dict[int, int] = {}

@@ -11,6 +11,8 @@ every timestamped observation falls in exactly one bucket.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Callable, Dict, Iterable, List, Tuple, TypeVar
 
 __all__ = [
@@ -23,12 +25,24 @@ __all__ = [
     "mean_per_window",
     "sum_per_window",
     "fill_missing_windows",
+    "ordered_sum",
 ]
 
 HOUR = 3_600
 DAY = 86_400
 
 T = TypeVar("T")
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right double-precision sum, identical on every interpreter.
+
+    The builtin ``sum`` of floats is compensated (Neumaier) since CPython
+    3.12, so sums of non-integral or above-2**53 values would change
+    bytes across interpreters.  Every float sum on the analysis path goes
+    through here instead.
+    """
+    return reduce(operator.add, values, 0.0)
 
 
 def window_index(timestamp: float, width: int) -> int:

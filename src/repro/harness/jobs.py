@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.echoes import EchoDetector
-from ..core.metrics import trace_transactions_per_day
+from ..core.metrics import transactions_per_day
 from ..core.observations import Observation, evaluate_all
 from ..core.report import FigureData, figure_1, figure_2, figure_3, figure_4, figure_5
 from ..obs import MetricsRegistry, Observability
@@ -480,8 +480,9 @@ def _run_topology_infer(
 def _run_echoes(params: Dict[str, Any], cache) -> EchoBundle:
     sim_config = ForkSimConfig.from_dict(params["sim"])
     result = run_cached(simulate_spec(sim_config), cache)
-    eth = trace_transactions_per_day(result.eth_trace, result.fork_timestamp)
-    etc = trace_transactions_per_day(result.etc_trace, result.fork_timestamp)
+    db = result.to_database(columnar=True)
+    eth = transactions_per_day(db, "ETH", result.fork_timestamp)
+    etc = transactions_per_day(db, "ETC", result.fork_timestamp)
     workload = ReplayWorkload(
         ReplayWorkloadConfig(days=sim_config.days, seed=params["replay_seed"])
     )

@@ -267,8 +267,8 @@ def _forksim_analysis_case(
     The simulation is built once, untimed and *before* tracing starts,
     so both arms measure only the analysis: load the traces into a
     database (``columnar=True`` adopts the packed columns zero-copy;
-    the reference arm boxes every block into records) and run the full
-    db-backed figure + observation pipeline.  The digest covers every
+    the reference arm boxes every block into the record oracle) and run
+    the full figure + observation pipeline on it.  The digest covers every
     series' bytes and every observation verdict — the byte-identity
     contract of ``tests/test_data_columnar.py``, enforced here at the
     paper's 270-day scale.  The memory gate pins the columnar arm's
@@ -277,8 +277,8 @@ def _forksim_analysis_case(
     """
     import struct as _struct
 
-    from ..core.observations import evaluate_all_db
-    from ..core.report import figures_from_database
+    from ..core.observations import evaluate_all
+    from ..core.report import figure_1, figure_2, figure_3, figure_5
     from ..sim.engine import ForkSimConfig, run_fork_sim
 
     config = ForkSimConfig(
@@ -293,8 +293,13 @@ def _forksim_analysis_case(
     def analyze(columnar: bool):
         def thunk():
             database = result.to_database(columnar=columnar)
-            figures = figures_from_database(result, database)
-            observations = evaluate_all_db(result, database)
+            figures = {
+                number: generate(result, db=database)
+                for number, generate in (
+                    (1, figure_1), (2, figure_2), (3, figure_3), (5, figure_5)
+                )
+            }
+            observations = evaluate_all(result, db=database)
             return figures, observations
 
         return thunk

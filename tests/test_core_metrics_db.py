@@ -1,18 +1,16 @@
-"""Database-backed metric variants (the record-level analysis path)."""
+"""The chain metrics over a hand-built record database."""
 
 import pytest
 
 from repro.core.metrics import (
-    block_delta_series,
     blocks_per_hour,
     contract_fraction_per_day,
     daily_mean_difficulty,
-    difficulty_series,
+    hourly_mean_block_delta,
     transactions_per_day,
 )
-from repro.data.records import BlockRecord, TxRecord
+from repro.data.records import BlockRecord
 from repro.data.store import ChainDatabase
-from repro.data.windows import DAY, HOUR
 
 
 @pytest.fixture
@@ -30,17 +28,6 @@ def db():
             )
         )
     database.insert_blocks(blocks)
-    txs = []
-    for index in range(10):
-        txs.append(
-            TxRecord(
-                chain="ETH", tx_hash=bytes([index]) * 4, block_number=1,
-                timestamp=index * (DAY // 5), sender=b"\x01" * 20,
-                to=b"\x02" * 20, value=1, is_contract=(index % 2 == 0),
-                replay_protected=False,
-            )
-        )
-    database.insert_transactions(txs)
     return database
 
 
@@ -50,15 +37,13 @@ class TestDbMetrics:
         assert series.values[0] == 5.0  # blocks at 600..3000
         assert series.values[1] == 2.0
 
-    def test_difficulty_series(self, db):
-        series = difficulty_series(db, "ETH")
-        assert series.values[0] == 1000.0
-        assert series.values[-1] == 7000.0
-
     def test_block_delta_series(self, db):
-        series = block_delta_series(db, "ETH")
+        series = hourly_mean_block_delta(db, "ETH")
         assert set(series.values) == {600.0}
-        assert len(series) == 6
+        assert len(series) == 2  # deltas land in hours 0 and 1
+
+    def test_start_ts_filter(self, db):
+        assert blocks_per_hour(db, "ETH", start_ts=3600).values == [2.0]
 
     def test_daily_mean_difficulty(self, db):
         series = daily_mean_difficulty(db, "ETH")
@@ -66,13 +51,11 @@ class TestDbMetrics:
 
     def test_transactions_per_day(self, db):
         series = transactions_per_day(db, "ETH")
-        assert sum(series.values) == 10
+        assert series.values == [14.0]  # 7 blocks x 2 txs, all on day 0
 
     def test_contract_fraction_per_day(self, db):
         series = contract_fraction_per_day(db, "ETH")
-        # Days 0 and 1 each hold 5 txs alternating contract/plain.
-        for value in series.values:
-            assert value == pytest.approx(0.6) or value == pytest.approx(0.4)
+        assert series.values == [0.5]  # 1 contract tx of 2 per block
 
     def test_empty_chain_yields_empty_series(self, db):
         assert blocks_per_hour(db, "missing").is_empty()

@@ -15,6 +15,7 @@ from repro.core.partition import (
     stabilization_time,
 )
 from repro.core.timeseries import TimeSeries
+from repro.data.columnar import ColumnarChainDatabase
 from repro.data.windows import DAY, HOUR
 from repro.market.exchange import ExchangeRateSeries
 from repro.sim.blockprod import ChainTrace
@@ -36,6 +37,13 @@ def stalled_trace(fork_ts=100_000, pre_blocks=100, stall=3000, post_blocks=2000)
         ts += 14
         trace.append(pre_blocks + 20 + i, ts, 1_000_000, "m")
     return trace
+
+
+def stalled_db(**kwargs):
+    """:func:`stalled_trace` adopted by the columnar analysis database."""
+    db = ColumnarChainDatabase()
+    db.adopt_trace(stalled_trace(**kwargs))
+    return db
 
 
 class TestForkPoint:
@@ -79,8 +87,7 @@ class TestHashpowerLoss:
 
 class TestStabilization:
     def test_recovery_detected(self):
-        trace = stalled_trace(stall=3000)
-        report = stabilization_time(trace, 100_000)
+        report = stabilization_time(stalled_db(stall=3000), "ETC", 100_000)
         assert report.stabilization_seconds is not None
         # 20 stalled blocks × 3000 s ≈ 0.7 days of stall.
         assert 0.5 <= report.stabilization_days <= 1.2
@@ -92,8 +99,8 @@ class TestStabilization:
         assert peak_block_delta(trace, 100_000, 100_000 + DAY) == 2222
 
     def test_no_recovery_within_horizon(self):
-        trace = stalled_trace(stall=5000, post_blocks=0)
-        report = stabilization_time(trace, 100_000, horizon_days=1)
+        db = stalled_db(stall=5000, post_blocks=0)
+        report = stabilization_time(db, "ETC", 100_000, horizon_days=1)
         assert report.stabilization_seconds is None
 
 

@@ -10,9 +10,11 @@ from repro.core.pools import (
     daily_top_pools,
     migration_consistency,
     top_n_share_series,
-    trace_top_n_share_series,
 )
 from repro.core.timeseries import TimeSeries
+from repro.data.columnar import ColumnarChainDatabase
+from repro.data.records import BlockRecord
+from repro.data.store import ChainDatabase
 from repro.data.windows import DAY
 from repro.sim.blockprod import ChainTrace
 
@@ -32,7 +34,14 @@ class TestDailyShares:
             [(0, "a")] * 8 + [(100, "b")] * 2          # day 0: a has 80%
             + [(DAY + 1, "a")] * 5 + [(DAY + 2, "b")] * 5  # day 1: 50/50
         )
-        series = top_n_share_series(blocks, top_n=1)
+        db = ChainDatabase()
+        db.insert_blocks(
+            BlockRecord(chain="ETH", number=number, timestamp=timestamp,
+                        difficulty=1, miner=miner, tx_count=0,
+                        contract_tx_count=0)
+            for number, (timestamp, miner) in enumerate(blocks, start=1)
+        )
+        series = top_n_share_series(db, "ETH", top_n=1)
         assert series.values == [80.0, 50.0]
 
     def test_top_pools_per_day_tracks_identity(self):
@@ -43,23 +52,28 @@ class TestDailyShares:
 
 
 class TestTraceVariant:
-    def build_trace(self):
+    """Figure 5's series over a simulator trace adopted by the columnar
+    database, the way the product path reads it."""
+
+    def build_db(self):
         trace = ChainTrace("ETH")
         for i in range(8):
             trace.append(i, i * 100, 1000, "bigpool")
         for i in range(2):
             trace.append(8 + i, 900 + i, 1000, f"solo-{i:05d}")
-        return trace
+        db = ColumnarChainDatabase()
+        db.adopt_trace(trace)
+        return db
 
     def test_solo_miners_never_count_as_pools(self):
-        trace = self.build_trace()
-        series = trace_top_n_share_series(trace, top_n=1)
+        series = top_n_share_series(self.build_db(), "ETH", top_n=1)
         # bigpool has 8 of 10 blocks; the solos are denominators only.
         assert series.values == [80.0]
 
     def test_start_ts_filter(self):
-        trace = self.build_trace()
-        series = trace_top_n_share_series(trace, top_n=1, start_ts=850)
+        series = top_n_share_series(
+            self.build_db(), "ETH", top_n=1, start_ts=850
+        )
         assert series.values == [0.0]  # only solo blocks remain
 
 

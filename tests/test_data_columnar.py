@@ -1,28 +1,23 @@
 """The columnar analytics backend: byte-identity against the record oracle.
 
 ``ColumnarChainDatabase`` exposes the exact ``ChainDatabase`` query
-surface over zero-copy trace columns.  These tests pin the contract the
-figure pipeline rests on: every query — boxed-record and aggregated
-alike — and every downstream figure/observation artifact is
-*byte-identical* across the trace functions, the record database, and
-the columnar database, over multiple seeds and horizons.
+surface over zero-copy trace columns, and it is the only database the
+figures and observations run on.  These tests pin the contract that
+rests on: every query — boxed-record and aggregated alike — and every
+downstream figure/observation artifact is *byte-identical* between the
+columnar product and the record oracle, and matches the frozen golden
+digests, over multiple seeds and horizons.
 """
-
-import json
 
 import pytest
 
-from repro.core.observations import evaluate_all, evaluate_all_db
-from repro.core.report import (
-    figure_1,
-    figure_2,
-    figure_3,
-    figure_5,
-    figures_from_database,
-)
+from golden_analysis import figure_digests, load_golden, observation_blob
+from repro.core.observations import evaluate_all
+from repro.core.report import figure_1, figure_2, figure_3, figure_5
 from repro.data.columnar import ColumnarChainDatabase
 from repro.data.records import BlockRecord, TxRecord
 from repro.data.store import ChainDatabase
+from repro.data.windows import DAY, ordered_sum
 from repro.sim.engine import ForkSimConfig, ForkSimulation
 
 
@@ -31,6 +26,9 @@ CONFIGS = [
     ForkSimConfig(days=20, prefork_days=2, seed=42, with_transactions=False),
 ]
 
+#: Each config's entry in ``golden/analysis.json``.
+GOLDEN_NAMES = ["12d-tx-s11", "20d-notx-s42"]
+
 
 @pytest.fixture(scope="module", params=[0, 1], ids=["12d-tx", "20d-notx"])
 def result(request):
@@ -38,25 +36,13 @@ def result(request):
 
 
 @pytest.fixture(scope="module")
+def golden(result):
+    return load_golden()[GOLDEN_NAMES[CONFIGS.index(result.config)]]
+
+
+@pytest.fixture(scope="module")
 def backends(result):
     return result.to_database(), result.to_database(columnar=True)
-
-
-def _obs_blob(observations):
-    return json.dumps(
-        [
-            {
-                "number": o.number,
-                "claim": o.claim,
-                "holds": o.holds,
-                "details": {
-                    key: value.hex() if isinstance(value, float) else value
-                    for key, value in o.details.items()
-                },
-            }
-            for o in observations
-        ]
-    )
 
 
 class TestQueryParity:
@@ -139,36 +125,54 @@ class TestQueryParity:
 
 
 class TestFigurePipeline:
-    def test_figures_byte_identical(self, result, backends, tmp_path):
-        record, columnar = backends
-        trace_figs = {
-            1: figure_1(result),
-            2: figure_2(result),
-            3: figure_3(result),
-            5: figure_5(result),
-        }
-        rec_figs = figures_from_database(result, record)
-        col_figs = figures_from_database(result, columnar)
-        assert set(rec_figs) == set(col_figs) == {1, 2, 3, 5}
-        for number, trace_fig in trace_figs.items():
-            payloads = {}
-            for tag, fig in (
-                ("trace", trace_fig),
-                ("record", rec_figs[number]),
-                ("columnar", col_figs[number]),
-            ):
-                path = tmp_path / f"f{number}-{tag}.csv"
-                fig.write_csv(path)
-                payloads[tag] = path.read_bytes()
-                assert fig.render() == trace_fig.render()
-            assert payloads["trace"] == payloads["record"]
-            assert payloads["record"] == payloads["columnar"]
+    def test_figures_byte_identical(self, result, backends, golden, tmp_path):
+        record, _ = backends
+        for number, generate in (
+            (1, figure_1), (2, figure_2), (3, figure_3), (5, figure_5)
+        ):
+            product = figure_digests(generate(result), tmp_path)
+            oracle = figure_digests(generate(result, db=record), tmp_path)
+            assert product == oracle, f"figure {number}"
+            assert product == golden[f"figure_{number}"], f"figure {number}"
 
-    def test_observations_identical(self, result, backends):
-        record, columnar = backends
-        trace_obs = _obs_blob(evaluate_all(result))
-        assert _obs_blob(evaluate_all_db(result, record)) == trace_obs
-        assert _obs_blob(evaluate_all_db(result, columnar)) == trace_obs
+    def test_observations_identical(self, result, backends, golden):
+        record, _ = backends
+        product = observation_blob(evaluate_all(result))
+        assert observation_blob(evaluate_all(result, db=record)) == product
+        # The golden scoreboard also carries observations 1 and 5, which
+        # need the partition scenario and the echo detector.
+        assert product == [
+            entry for entry in golden["observations"]
+            if entry["number"] in (2, 3, 4, 6)
+        ]
+
+
+class TestOrderedDayMean:
+    """Day means must add left to right on every interpreter.
+
+    ``2**53 + 1`` rounds back to ``2**53``, so a sequential sum of this
+    column is ``2**53`` while a compensated one (the builtin ``sum`` of
+    floats since CPython 3.12) is ``2**53 + 2``.
+    """
+
+    COLUMN = [2**53, 1, 1]
+
+    def test_ordered_sum_is_sequential(self):
+        assert ordered_sum(map(float, self.COLUMN)) == float(2**53)
+
+    def test_columnar_matches_record_running_sum(self):
+        rows = [
+            _block(number=i + 1, timestamp=DAY + i, difficulty=difficulty)
+            for i, difficulty in enumerate(self.COLUMN)
+        ]
+        record = ChainDatabase()
+        record.insert_blocks(rows)
+        columnar = ColumnarChainDatabase()
+        columnar.insert_blocks(rows)
+        expected = {1: (float(2**53) / 3).hex()}
+        for db in (record, columnar):
+            means = db.daily_mean_difficulty("ETH")
+            assert {k: v.hex() for k, v in means.items()} == expected
 
 
 def _block(chain="ETH", number=1, timestamp=1000, difficulty=100,

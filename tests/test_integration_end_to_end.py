@@ -16,7 +16,7 @@ from repro.core import (
     figure_4,
     figure_5,
 )
-from repro.core.metrics import trace_transactions_per_day
+from repro.core.metrics import transactions_per_day
 from repro.core.observations import (
     observation_2,
     observation_3,
@@ -32,12 +32,9 @@ def pipeline():
     result = ForkSimulation(
         ForkSimConfig(days=120, prefork_days=7, seed=99)
     ).run()
-    eth_daily = trace_transactions_per_day(
-        result.eth_trace, result.fork_timestamp
-    )
-    etc_daily = trace_transactions_per_day(
-        result.etc_trace, result.fork_timestamp
-    )
+    db = result.to_database(columnar=True)
+    eth_daily = transactions_per_day(db, "ETH", result.fork_timestamp)
+    etc_daily = transactions_per_day(db, "ETC", result.fork_timestamp)
     workload = ReplayWorkload(ReplayWorkloadConfig(days=120, seed=98))
     records, truth = workload.generate(eth_daily.values, etc_daily.values)
     detector = EchoDetector()

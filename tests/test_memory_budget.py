@@ -15,8 +15,8 @@ import tracemalloc
 
 import pytest
 
-from repro.core.observations import evaluate_all_db
-from repro.core.report import figures_from_database
+from repro.core.observations import evaluate_all
+from repro.core.report import figure_1, figure_2, figure_3, figure_5
 from repro.sim.engine import ForkSimConfig, run_fork_sim
 
 #: 40 days ≈ 520k blocks across both chains — big enough that per-block
@@ -39,8 +39,9 @@ def _traced_analysis_peak(result, columnar):
     tracemalloc.start()
     try:
         db = result.to_database(columnar=columnar)
-        figures_from_database(result, db)
-        evaluate_all_db(result, db)
+        for figure in (figure_1, figure_2, figure_3, figure_5):
+            figure(result, db=db)
+        evaluate_all(result, db=db)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

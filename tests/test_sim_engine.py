@@ -7,8 +7,8 @@ One moderately sized run (90 days) is shared module-wide; the full
 import pytest
 
 from repro.core.metrics import (
-    trace_daily_mean_difficulty,
-    trace_transactions_per_day,
+    daily_mean_difficulty,
+    transactions_per_day,
 )
 from repro.core.partition import find_trace_fork_point, stabilization_time
 from repro.data.windows import DAY, HOUR
@@ -62,26 +62,26 @@ class TestCalibration:
         assert 5000 < len(first_day) < 7500
 
     def test_etc_collapses_then_recovers_in_about_two_days(self, result):
-        report = stabilization_time(result.etc_trace, result.fork_timestamp)
+        report = stabilization_time(
+            result.to_database(columnar=True), "ETC", result.fork_timestamp
+        )
         assert report.stabilization_days is not None
         assert 1.0 <= report.stabilization_days <= 3.5
         assert report.peak_delta_seconds > 1200  # the paper's delta spike
 
     def test_etc_difficulty_an_order_below_eth(self, result):
-        eth = trace_daily_mean_difficulty(
-            result.eth_trace, result.fork_timestamp + 30 * DAY
-        )
-        etc = trace_daily_mean_difficulty(
-            result.etc_trace, result.fork_timestamp + 30 * DAY
-        )
+        db = result.to_database(columnar=True)
+        eth = daily_mean_difficulty(db, "ETH", result.fork_timestamp + 30 * DAY)
+        etc = daily_mean_difficulty(db, "ETC", result.fork_timestamp + 30 * DAY)
         ratio = eth.mean() / etc.mean()
         assert 6 <= ratio <= 20
 
     def test_mirror_image_difficulty_drift(self, result):
         """Figure 1's second fortnight: ETH sheds difficulty while ETC
         gains it, as profit miners flow back."""
-        eth = trace_daily_mean_difficulty(result.eth_trace)
-        etc = trace_daily_mean_difficulty(result.etc_trace)
+        db = result.to_database(columnar=True)
+        eth = daily_mean_difficulty(db, "ETH")
+        etc = daily_mean_difficulty(db, "ETC")
         fork = result.fork_timestamp
 
         def value_near(series, timestamp):
@@ -96,12 +96,9 @@ class TestCalibration:
         assert etc_day14 > etc_day3 * 2  # ETC regains it
 
     def test_transaction_volumes_track_workloads(self, result):
-        eth = trace_transactions_per_day(
-            result.eth_trace, result.fork_timestamp + 10 * DAY
-        )
-        etc = trace_transactions_per_day(
-            result.etc_trace, result.fork_timestamp + 10 * DAY
-        )
+        db = result.to_database(columnar=True)
+        eth = transactions_per_day(db, "ETH", result.fork_timestamp + 10 * DAY)
+        etc = transactions_per_day(db, "ETC", result.fork_timestamp + 10 * DAY)
         assert eth.mean() == pytest.approx(45_000, rel=0.25)
         ratio = eth.mean() / etc.mean()
         assert 2.0 <= ratio <= 3.2
