@@ -5,7 +5,8 @@ Thin wrapper over :mod:`repro.perf.bench` (the same harness behind
 ``python -m repro bench``) that works from a source checkout without an
 install.  Writes ``BENCH_forksim.json`` / ``BENCH_eventloop.json`` at
 the repo root and rendered tables under ``benchmarks/output/``; exits
-nonzero when any fast/reference digest diverges.
+nonzero when a result digest differs from its golden digest or a rate
+falls below the committed baseline's.
 """
 
 import pathlib

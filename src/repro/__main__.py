@@ -36,10 +36,10 @@ Subcommands:
 
 ``bench``
     Benchmark the performance kernels (batched block production, fast
-    difficulty rules, event-loop and transport fast paths) against the
-    retained seed-state implementations; write canonical
-    ``BENCH_<name>.json`` regression reports and exit nonzero if any
-    fast/reference result digests diverge.
+    difficulty rules, event-loop and transport fast paths); write
+    canonical ``BENCH_<name>.json`` regression reports and exit nonzero
+    if any result digest differs from its golden digest or, in full
+    mode, a rate falls below the committed baseline.
 
 ``serve``
     Start the long-running scenario service (:mod:`repro.serve`): an
@@ -318,9 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark the fast kernels against the seed-state "
-             "reference implementations; write BENCH_*.json and fail "
-             "on any digest divergence",
+        help="benchmark the fast kernels; write BENCH_*.json and fail "
+             "on a golden-digest mismatch or a rate regression",
     )
     from .perf.bench import add_bench_arguments
 

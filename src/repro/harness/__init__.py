@@ -64,7 +64,6 @@ from .jobs import (
     figure_spec,
     fork_lengths_spec,
     obs_probe_spec,
-    perf_probe_spec,
     observations_spec,
     partition_spec,
     register_runner,
@@ -143,7 +142,6 @@ __all__ = [
     "figure_spec",
     "fork_lengths_spec",
     "obs_probe_spec",
-    "perf_probe_spec",
     "observations_spec",
     "partition_spec",
     "plan_chunks",

@@ -70,7 +70,6 @@ __all__ = [
     "topology_partition_spec",
     "topology_infer_spec",
     "obs_probe_spec",
-    "perf_probe_spec",
     "echoes_spec",
     "figure_spec",
     "observations_spec",
@@ -311,24 +310,6 @@ def obs_probe_spec(config: PartitionScenarioConfig) -> JobSpec:
     )
 
 
-def perf_probe_spec(config: ForkSimConfig) -> JobSpec:
-    """A fast-vs-reference kernel check that returns only fingerprints.
-
-    The probe runs the same fork sim twice in one worker — once on the
-    batched kernels, once on the seed-state implementations from
-    :mod:`repro.perf.reference` — and returns digests plus wall times.
-    It is the pool-facing face of the benchmark gate: spawn workers must
-    agree with in-process runs, and the two arms must agree with each
-    other.  (Cached hits replay the digests; the timings are only
-    meaningful on a fresh run.)
-    """
-    return JobSpec.make(
-        "perf-probe",
-        {"config": config.to_dict()},
-        label=f"perf-probe[{config.days}d seed={config.seed}]",
-    )
-
-
 def echoes_spec(
     sim_config: ForkSimConfig, replay_seed: int = 4242
 ) -> JobSpec:
@@ -533,30 +514,6 @@ def _run_obs_probe(params: Dict[str, Any], cache) -> Dict[str, Any]:
         "metrics_digest": obs.metrics.digest(),
         "trace_digest": obs.tracer.digest(),
         "events": obs.tracer.events_emitted,
-    }
-
-
-@register_runner("perf-probe")
-def _run_perf_probe(params: Dict[str, Any], cache) -> Dict[str, Any]:
-    from ..perf.reference import reference_block_loop
-
-    config = ForkSimConfig.from_dict(params["config"])
-    start = time.perf_counter()
-    fast = run_fork_sim(config)
-    fast_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    with reference_block_loop():
-        reference = run_fork_sim(config)
-    reference_seconds = time.perf_counter() - start
-    fast_digest = fast.digest()
-    reference_digest = reference.digest()
-    return {
-        "fast_digest": fast_digest,
-        "reference_digest": reference_digest,
-        "digests_match": fast_digest == reference_digest,
-        "blocks": len(fast.eth_trace.numbers) + len(fast.etc_trace.numbers),
-        "fast_seconds": fast_seconds,
-        "reference_seconds": reference_seconds,
     }
 
 

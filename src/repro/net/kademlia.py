@@ -101,24 +101,6 @@ class RoutingTable:
             return True
         return False
 
-    def observe_reference(self, name: str) -> bool:
-        """The seed-state :meth:`observe` body, verbatim (modulo the
-        digest memo it always had) — swapped in class-wide by
-        :func:`repro.perf.reference.reference_event_loop` so the
-        benchmark reference arm pays the original per-call index math."""
-        if name == self.own_name:
-            return False
-        index = bucket_index(self.own_id, self._digest(name))
-        bucket = self._buckets.setdefault(index, [])
-        if name in bucket:
-            bucket.remove(name)
-            bucket.append(name)  # refresh to most-recently-seen
-            return True
-        if len(bucket) < self.bucket_size:
-            bucket.append(name)
-            return True
-        return False
-
     def remove(self, name: str) -> None:
         for bucket in self._buckets.values():
             if name in bucket:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..chain.types import Hash32
+from ..data.windows import ordered_sum
 from .latency import GeographicLatency, LatencyModel, LognormalLatency
 from .messages import Message, NewBlock
 from .node import FullNode
@@ -105,12 +105,6 @@ class NetworkCensus:
 
 class Network:
     """Transport + membership for one simulated P2P universe."""
-
-    #: Class-level switch for the :meth:`send` fast path.  The benchmark
-    #: reference arm (:mod:`repro.perf.reference`) flips this to False to
-    #: time the pre-optimization transport; trajectories are identical
-    #: either way.
-    use_fast_path = True
 
     def __init__(
         self,
@@ -228,27 +222,6 @@ class Network:
             other.peers.discard(name)
             other.routing.remove(name)
 
-    @property
-    def messages_dropped(self) -> int:
-        """Deprecated aggregate of every drop class.
-
-        Kept for callers that predate the split into
-        :attr:`messages_lost` / :attr:`messages_undeliverable` /
-        :attr:`messages_blocked`; new code (the fault-sweep metrics in
-        particular) should read the specific counters.
-        """
-        warnings.warn(
-            "Network.messages_dropped is deprecated; read messages_lost, "
-            "messages_undeliverable, and messages_blocked instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return (
-            self.messages_lost
-            + self.messages_undeliverable
-            + self.messages_blocked
-        )
-
     def note_upgrade(self, node_name: str) -> None:
         self._upgrade_log.append((self.sim.now, node_name))
 
@@ -287,8 +260,7 @@ class Network:
     def send(self, source: str, destination: str, message: Message) -> None:
         """Deliver ``message`` after a sampled latency (maybe drop it)."""
         if (
-            self.use_fast_path
-            and self._plain_obs
+            self._plain_obs
             and self.faults is None
             and not self.loss_rate
             and not self.track_block_propagation
@@ -328,8 +300,8 @@ class Network:
             sim = self.sim
             if type(sim) is Simulator and sim.obs is None and 0.0 <= delay < _INF:
                 # Inline Simulator.schedule's obs-disabled hot body.
-                # Only for the exact base class — subclasses and the
-                # calendar-queue engine own their insert discipline.
+                # Only for the exact base class — subclasses own their
+                # insert discipline.
                 seq = next(sim._sequence)
                 handle = _new_handle(EventHandle)
                 handle.time = time = sim.now + delay
@@ -428,14 +400,12 @@ class Network:
         are the hot waves; at 40-node partition rates this is most of
         the transport's per-message overhead.
 
-        With the fast path disabled (the benchmark reference arm) or
-        any tracer/metrics attached, it literally *is* the send loop,
-        so observed runs and the reference arm keep the seed-state
-        behaviour to the byte.
+        With any tracer/metrics attached it literally *is* the send
+        loop, so observed runs keep the seed-state behaviour to the byte.
         """
         if not destinations:
             return
-        if not (self.use_fast_path and self._plain_obs):
+        if not self._plain_obs:
             for destination in destinations:
                 self.send(source, destination, message)
             return
@@ -776,7 +746,8 @@ class Network:
         delivery, or None when tracing was off / nothing propagated."""
         if not self._block_delivery_delays:
             return None
-        return sum(self._block_delivery_delays) / len(self._block_delivery_delays)
+        delays = self._block_delivery_delays
+        return ordered_sum(delays) / len(delays)
 
     def census(self) -> NetworkCensus:
         """Group online nodes by their current network allegiance.

@@ -575,9 +575,8 @@ class FullNode:
         ladder with one exact-type dict probe (messages are final
         dataclasses, so ``type(message)`` is the ladder's answer); a
         subclassed message — none exist in the repo, but the contract
-        allows them — falls back to the ladder.  Handler order and
-        side effects are identical to :meth:`receive_reference`, the
-        seed body kept verbatim for the benchmark reference arm.
+        allows them — falls back to the ladder, which picks the same
+        handler for every exact type.
         """
         if not self.online:
             return
@@ -599,32 +598,9 @@ class FullNode:
         else:
             self._dispatch_ladder(message)
 
-    def receive_reference(self, message: Message) -> None:
-        """The seed-state :meth:`receive` body, verbatim.
-
-        :func:`repro.perf.reference.reference_event_loop` swaps this in
-        class-wide so the benchmark reference arm dispatches through the
-        original ``isinstance`` ladder.
-        """
-        if not self.online:
-            return
-        sender = message.sender_id
-        if self.resilience is not None:
-            if self._now() < self._banned_until.get(sender, 0.0):
-                return  # banned peers get silence, not service
-            self._note_alive(sender)
-            if isinstance(message, Ping):
-                self._send(sender, Pong(sender_id=self.name))
-                return
-            if isinstance(message, Pong):
-                self._ping_pending.pop(sender, None)
-                return
-        self.routing.observe(sender)
-        self._dispatch_ladder(message)
-
     def _dispatch_ladder(self, message: Message) -> None:
-        """The seed dispatch ladder (shared by the reference arm and the
-        fast path's subclassed-message fallback)."""
+        """The seed dispatch ladder: the fallback for subclassed
+        messages."""
         if isinstance(message, Status):
             self._on_status(message)
         elif isinstance(message, Disconnect):
@@ -702,50 +678,42 @@ class FullNode:
         with dict probes before any validation — so on the obs-disabled
         path those verdicts are pre-checked inline and only blocks with a
         known parent pay the full import machinery.  Outcome-identical to
-        :meth:`_on_blocks_reference`: the pre-check reproduces exactly the
+        the obs-enabled branch: the pre-check reproduces exactly the
         "known" and "unknown-parent" early returns of
         :meth:`~repro.chain.chainstore.Blockchain.import_block`.
         """
+        sender = message.sender_id
+        first_orphan: Optional[Block] = None
         net = self.network
         if net is None or net.obs is not None:
-            # Orphan/import trace events must still fire per block.
-            self._on_blocks_reference(message)
-            return
-        sender = message.sender_id
-        block_index = self.chain.block_index
-        seen_add = self.seen_blocks.add
-        first_orphan: Optional[Block] = None
-        for block in message.blocks:
-            header = block.header
-            block_hash = header.block_hash
-            seen_add(block_hash)
-            if block_hash in block_index:
-                continue  # "known"
-            if header.parent_hash not in block_index:
-                if first_orphan is None:
+            # Every block pays the full import chain, so orphan/import
+            # trace events still fire per block.
+            for block in message.blocks:
+                status = self._adopt_block(
+                    block, origin=sender, request_missing=False
+                )
+                if status == "orphan" and first_orphan is None:
                     first_orphan = block
-                continue  # "orphan" (unknown parent)
-            status = self._adopt_block(
-                block, origin=sender, request_missing=False
-            )
-            if status == "orphan" and first_orphan is None:
-                first_orphan = block  # parent known but its state pruned
+        else:
+            block_index = self.chain.block_index
+            seen_add = self.seen_blocks.add
+            for block in message.blocks:
+                header = block.header
+                block_hash = header.block_hash
+                seen_add(block_hash)
+                if block_hash in block_index:
+                    continue  # "known"
+                if header.parent_hash not in block_index:
+                    if first_orphan is None:
+                        first_orphan = block
+                    continue  # "orphan" (unknown parent)
+                status = self._adopt_block(
+                    block, origin=sender, request_missing=False
+                )
+                if status == "orphan" and first_orphan is None:
+                    first_orphan = block  # parent known but state pruned
         if first_orphan is not None:
             self._request_ancestor(sender, first_orphan.parent_hash)
-
-    def _on_blocks_reference(self, message: Blocks) -> None:
-        """The seed-state :meth:`_on_blocks` body, verbatim — swapped in
-        class-wide by :func:`repro.perf.reference.reference_event_loop`,
-        and the obs-enabled fallback of the fast path."""
-        first_orphan: Optional[Block] = None
-        for block in message.blocks:
-            status = self._adopt_block(
-                block, origin=message.sender_id, request_missing=False
-            )
-            if status == "orphan" and first_orphan is None:
-                first_orphan = block
-        if first_orphan is not None:
-            self._request_ancestor(message.sender_id, first_orphan.parent_hash)
 
     def _on_new_block(self, message: NewBlock) -> None:
         block = message.block
@@ -769,14 +737,6 @@ class FullNode:
             return
         self._adopt_block(block, origin=message.sender_id)
 
-    def _on_new_block_reference(self, message: NewBlock) -> None:
-        """The seed-state :meth:`_on_new_block` body, verbatim — swapped
-        in class-wide by
-        :func:`repro.perf.reference.reference_event_loop`."""
-        if bytes(message.block.block_hash) in self.seen_blocks:
-            return
-        self._adopt_block(message.block, origin=message.sender_id)
-
     def _on_new_block_hashes(self, message: NewBlockHashes) -> None:
         # Announcements are the highest-volume message and almost always
         # already seen: probe the dedup set and block index directly
@@ -796,21 +756,6 @@ class FullNode:
             unknown = tuple(
                 h for h in hashes if h not in seen and h not in block_index
             )
-        if unknown:
-            self._send(
-                message.sender_id,
-                GetBlocks(sender_id=self.name, hashes=unknown),
-            )
-
-    def _on_new_block_hashes_reference(self, message: NewBlockHashes) -> None:
-        """The seed-state :meth:`_on_new_block_hashes` body, verbatim —
-        swapped in class-wide by
-        :func:`repro.perf.reference.reference_event_loop`."""
-        unknown = tuple(
-            h
-            for h in message.hashes
-            if bytes(h) not in self.seen_blocks and h not in self.chain
-        )
         if unknown:
             self._send(
                 message.sender_id,
@@ -840,29 +785,6 @@ class FullNode:
                         break
                     append(nxt)
                     cursor = nxt.header
-        if found:
-            self._send(
-                message.sender_id,
-                Blocks(sender_id=self.name, blocks=tuple(found)),
-            )
-
-    def _on_get_blocks_reference(self, message: GetBlocks) -> None:
-        """The seed-state :meth:`_on_get_blocks` body, verbatim — swapped
-        in class-wide by
-        :func:`repro.perf.reference.reference_event_loop`."""
-        found: List[Block] = []
-        for block_hash in message.hashes:
-            block = self.chain.block_by_hash(block_hash)
-            if block is not None:
-                found.append(block)
-                # Serve a short run of descendants to accelerate catch-up.
-                cursor = block
-                for _ in range(31):
-                    nxt = self.chain.block_by_number(cursor.number + 1)
-                    if nxt is None or nxt.parent_hash != cursor.block_hash:
-                        break
-                    found.append(nxt)
-                    cursor = nxt
         if found:
             self._send(
                 message.sender_id,

@@ -72,28 +72,7 @@ _new_handle = EventHandle.__new__
 
 
 class Simulator:
-    """The virtual clock and event queue.
-
-    The queue is a binary heap by default.  Setting the class switch
-    :attr:`use_bucket_queue` makes ``Simulator(...)`` construct a
-    :class:`~repro.net.bucketqueue.BucketSimulator` instead — a
-    calendar-queue engine that amortizes heap discipline over time
-    buckets (see :mod:`repro.net.bucketqueue`).  Both engines fire
-    events in identical ``(time, seq)`` order; the switch follows the
-    same opt-in pattern as :attr:`repro.net.network.Network.use_fast_path`.
-    """
-
-    #: Class-level switch: when True, ``Simulator(...)`` builds a
-    #: :class:`~repro.net.bucketqueue.BucketSimulator`.  Subclasses are
-    #: never redirected (the benchmark's ReferenceSimulator stays put).
-    use_bucket_queue = False
-
-    def __new__(cls, *args, **kwargs):
-        if cls is Simulator and cls.use_bucket_queue:
-            from .bucketqueue import BucketSimulator
-
-            return object.__new__(BucketSimulator)
-        return object.__new__(cls)
+    """The virtual clock and its binary-heap event queue."""
 
     # ``self.now`` is written once per event and the queue/sequence are
     # read on every ``schedule``: slot storage keeps those accesses off
@@ -290,7 +269,7 @@ class Simulator:
                     # off in ``seq`` order, so FIFO is preserved, and
                     # events a callback schedules *at* the running
                     # timestamp land behind the tie run in the heap
-                    # (larger seq), exactly as the reference loop
+                    # (larger seq), exactly as the observed loop
                     # orders them.
                     while queue and queue[0][0] == time:
                         handle = heappop(queue)[2]
@@ -355,8 +334,8 @@ class Simulator:
         self, end_time: float, max_events: Optional[int] = None
     ) -> int:
         """The pre-optimization :meth:`run_until` body, used whenever
-        observability is attached (and kept verbatim as the oracle the
-        trajectory-equality tests compare the hot loop against)."""
+        observability is attached; the trajectory-equality tests hold
+        the hot loop to it."""
         processed = 0
         while self._queue:
             time, _, handle = self._queue[0]

@@ -4,90 +4,41 @@ The fast paths live where the hot loops are — the batched block
 kernel in :meth:`repro.sim.blockprod.BlockProducer.advance_batch`, the
 inlined difficulty rules in :func:`repro.chain.difficulty.make_fast_rule`,
 the tightened event loop in :meth:`repro.net.simulator.Simulator.run_until`,
-the calendar-queue engine in :class:`repro.net.bucketqueue.BucketSimulator`,
 and the plain-transport fast path plus delivery-wave kernels in
 :class:`repro.net.network.Network`.  This package holds what keeps them
 honest:
 
-:mod:`repro.perf.reference`
-    The seed-state implementations, kept verbatim, plus context managers
-    that swap them in process-wide.  Every benchmark times fast-vs-
-    reference on the *same* workload and every differential test asserts
-    the two arms produce bit-identical trajectories.
+:mod:`repro.perf.golden`
+    Frozen digests of the seed trajectories.  Every bench case and every
+    fixed-input differential test must reproduce them byte for byte.
 
 :mod:`repro.perf.bench`
     The benchmark harness behind ``python -m repro bench``: canonical
-    ``BENCH_<name>.json`` regression reports with wall times, throughput,
-    result digests, and a hard failure when the arms' digests diverge.
+    ``BENCH_<name>.json`` regression reports with wall times, throughput
+    and result digests, failing on a golden-digest mismatch or a rate
+    regression against the committed baseline.
 
 :mod:`repro.perf.soa`
     Struct-of-arrays accounting structs used by the hot paths (per-node
     telemetry counters in slot storage instead of per-node dicts).
-
-Re-exports resolve lazily (PEP 562): the hot-path modules (``net``,
-``sim``) import :mod:`repro.perf.soa` at class-definition time, and an
-eager ``from .bench import ...`` here would close an import cycle back
-through the scenario layer.
 """
 
-from typing import TYPE_CHECKING
+from .bench import (
+    BENCH_SCHEMA,
+    add_bench_arguments,
+    bench_from_args,
+    main,
+    run_bench,
+    validate_report,
+)
+from .soa import NodeStats
 
 __all__ = [
     "BENCH_SCHEMA",
     "NodeStats",
-    "ReferenceSimulator",
     "add_bench_arguments",
     "bench_from_args",
     "main",
-    "reference_block_loop",
-    "reference_event_loop",
     "run_bench",
     "validate_report",
 ]
-
-#: attribute name -> submodule that defines it.
-_EXPORTS = {
-    "BENCH_SCHEMA": "bench",
-    "add_bench_arguments": "bench",
-    "bench_from_args": "bench",
-    "main": "bench",
-    "run_bench": "bench",
-    "validate_report": "bench",
-    "NodeStats": "soa",
-    "ReferenceSimulator": "reference",
-    "reference_block_loop": "reference",
-    "reference_event_loop": "reference",
-}
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
-if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
-    from .bench import (  # noqa: F401
-        BENCH_SCHEMA,
-        add_bench_arguments,
-        bench_from_args,
-        main,
-        run_bench,
-        validate_report,
-    )
-    from .reference import (  # noqa: F401
-        ReferenceSimulator,
-        reference_block_loop,
-        reference_event_loop,
-    )
-    from .soa import NodeStats  # noqa: F401

@@ -1,27 +1,39 @@
 """The benchmark harness and regression gate (``python -m repro bench``).
 
-Each case runs the same workload twice — once on the fast kernels, once
-on the seed-state reference implementations from
-:mod:`repro.perf.reference` — takes the best wall time of ``--repeats``
-runs per arm, and records both results' digests.  The digests are the
-gate: a speedup that changes the trajectory is a bug, so any
-fast/reference digest divergence fails the whole run (nonzero exit).
+Each case runs one workload on the product's fast kernels, keeps the
+best wall time of ``--repeats`` runs, and records the result's digest.
+Two gates fail the run (nonzero exit):
+
+* **Correctness.**  The digest must equal the frozen golden digest in
+  :mod:`repro.perf.golden`, the seed trajectory at the default seed.  A
+  speedup that changes the trajectory is a bug.
+* **Speed (full mode only).**  When the committed ``BENCH_<name>.json``
+  at the checkout root was recorded on a matching host, each case's rate
+  must stay at or above :data:`RATE_FLOOR` times that row's rate.
+
+``forksim_analysis`` keeps a second, live arm: the record
+``ChainDatabase`` oracle, whose digest must equal the columnar arm's and
+whose tracemalloc peak must exceed the columnar peak by
+``memory_min_ratio``.
 
 Reports are canonical ``BENCH_<name>.json`` files:
 
 .. code-block:: json
 
-    {"schema": "repro.bench/1", "name": "forksim", "created": "...",
+    {"schema": "repro.bench/2", "name": "forksim", "created": "...",
+     "smoke": false,
      "host": {"python": "...", "implementation": "...", ...},
      "cases": [{"case": "...", "params": {...},
                 "fast": {"seconds": 1.0, "work": 123, "work_unit":
-                         "blocks", "rate": 123.0, "digest": "..."},
-                "reference": {...}, "speedup": 3.3,
-                "digests_match": true}]}
+                         "blocks", "rate": 123.0, "digest": "...",
+                         "peak_bytes": 456},
+                "golden": "...", "digests_match": true,
+                "baseline_rate": 120.0, "rate_ratio": 1.025,
+                "rate_ok": true}]}
 
 ``--smoke`` shrinks every horizon to CI scale (seconds, not minutes):
-it cannot measure honest speedups, but it exercises both arms end to
-end and still enforces the digest gate, which is what the CI job needs.
+its timings mean nothing, but it runs every case end to end and still
+enforces the golden-digest and memory gates, which is what CI needs.
 """
 
 from __future__ import annotations
@@ -36,11 +48,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .reference import (
-    ReferenceSimulator,
-    reference_block_loop,
-    reference_event_loop,
-)
+from .golden import BENCH as GOLDEN_DIGESTS
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -51,17 +59,23 @@ __all__ = [
     "validate_report",
 ]
 
-BENCH_SCHEMA = "repro.bench/1"
+BENCH_SCHEMA = "repro.bench/2"
+
+#: The seed every case runs at; the golden digests exist only for it.
+SEED = 2016_07_20
+
+#: A full-mode rate below this fraction of the committed baseline row's
+#: fails the run: single runs on one host spread about +-15%.
+RATE_FLOOR = 0.85
+
+#: Where the committed ``BENCH_<name>.json`` baselines live when running
+#: from a source checkout (``src/repro/perf/bench.py`` -> checkout root).
+_BASELINE_DIR = Path(__file__).resolve().parents[3]
 
 #: Case name -> report name; drives ``--only`` filtering too.
 _REPORTS: Dict[str, Sequence[str]] = {
     "forksim": ("forksim_difficulty", "forksim_workload", "forksim_analysis"),
-    "eventloop": (
-        "eventloop_chain",
-        "eventloop_bucket",
-        "partition",
-        "chaos_partition",
-    ),
+    "eventloop": ("eventloop_chain", "partition", "chaos_partition"),
 }
 
 #: When set (``--profile``), :func:`_case_row` re-runs each case's fast
@@ -107,7 +121,7 @@ def _traced_peak(fn: Callable[[], Any]) -> int:
     Tracing starts fresh inside this function, so anything allocated
     *before* the call (a shared pre-built simulation, the interpreter's
     own state) is invisible — the peak charges only what ``fn`` itself
-    allocates.  Tracing roughly doubles allocation cost, which is why
+    allocates.  Tracing multiplies allocation cost, which is why
     memory passes are separate from the timed ones in :func:`_case_row`.
     """
     import tracemalloc
@@ -138,54 +152,48 @@ def _case_row(
     params: Dict[str, Any],
     unit: str,
     fast_fn: Callable[[], Any],
-    ref_fn: Callable[[], Any],
     measure: Callable[[Any], Tuple[int, str]],
     repeats: int,
     measure_memory: bool = False,
+    reference_fn: Optional[Callable[[], Any]] = None,
     memory_min_ratio: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """One benchmark row: timed arms, digests, optional memory arms.
+    """One benchmark row: the timed fast arm and its digest.
 
-    With ``measure_memory`` each arm also runs once more under
-    tracemalloc (untimed — tracing is ~2x allocation overhead, so it
-    must never touch the wall-clock numbers) and records its
-    ``peak_bytes``.  ``memory_min_ratio`` turns the measurement into a
-    gate: ``memory_ok`` is False when the reference arm's peak divided
-    by the fast arm's falls below it — a fast path that quietly loses
-    its memory advantage fails the bench exactly like a digest
-    divergence does.
+    With ``measure_memory`` the fast arm runs once more under
+    tracemalloc (untimed — tracing slows allocation-heavy code many
+    times over, so it must never touch the wall-clock numbers) and
+    records its ``peak_bytes``.  A ``reference_fn`` adds a second, live
+    arm, timed and traced the same way; ``memory_ok`` is then False when the
+    reference peak divided by the fast peak falls below
+    ``memory_min_ratio`` — a fast path that quietly loses its memory
+    advantage fails the bench exactly like a digest divergence does.
     """
     fast_secs, fast_value = _best_of(fast_fn, repeats)
-    ref_secs, ref_value = _best_of(ref_fn, repeats)
     fast_work, fast_digest = measure(fast_value)
-    ref_work, ref_digest = measure(ref_value)
-    speedup = ref_secs / fast_secs if fast_secs > 0 else float("inf")
+    row: Dict[str, Any] = {
+        "case": name,
+        "params": params,
+        "fast": _arm(fast_secs, fast_work, unit, fast_digest),
+    }
+    if reference_fn is not None:
+        ref_secs, ref_value = _best_of(reference_fn, repeats)
+        ref_work, ref_digest = measure(ref_value)
+        row["reference"] = _arm(ref_secs, ref_work, unit, ref_digest)
     if _PROFILE_DIR is not None:
         # Separate, untimed run: the profiler's tracing overhead must
         # never leak into the recorded wall times above.
         _write_profile(name, fast_fn)
-    row = {
-        "case": name,
-        "params": params,
-        "fast": _arm(fast_secs, fast_work, unit, fast_digest),
-        "reference": _arm(ref_secs, ref_work, unit, ref_digest),
-        "speedup": round(speedup, 3),
-        "digests_match": fast_digest == ref_digest,
-    }
     if measure_memory:
         fast_peak = _traced_peak(fast_fn)
-        ref_peak = _traced_peak(ref_fn)
         row["fast"]["peak_bytes"] = fast_peak
-        row["reference"]["peak_bytes"] = ref_peak
-        memory_ratio = (
-            ref_peak / fast_peak if fast_peak > 0 else float("inf")
-        )
-        row["memory_ratio"] = round(memory_ratio, 3)
-        row["memory_ok"] = (
-            memory_min_ratio is None or memory_ratio >= memory_min_ratio
-        )
-        if memory_min_ratio is not None:
+        if reference_fn is not None:
+            ref_peak = _traced_peak(reference_fn)
+            row["reference"]["peak_bytes"] = ref_peak
+            ratio = ref_peak / fast_peak if fast_peak > 0 else float("inf")
+            row["memory_ratio"] = round(ratio, 3)
             row["memory_min_ratio"] = memory_min_ratio
+            row["memory_ok"] = ratio >= memory_min_ratio
     return row
 
 
@@ -217,23 +225,19 @@ def _write_profile(case: str, fast_fn: Callable[[], Any]) -> Path:
 
 
 def _forksim_case(
-    name: str, days: int, with_transactions: bool, seed: int, repeats: int
+    name: str, days: int, with_transactions: bool, repeats: int
 ) -> Dict[str, Any]:
     from ..sim.engine import ForkSimConfig, run_fork_sim
 
     config = ForkSimConfig(
         days=days,
         prefork_days=7,
-        seed=seed,
+        seed=SEED,
         with_transactions=with_transactions,
     )
 
     def fast():
         return run_fork_sim(config)
-
-    def reference():
-        with reference_block_loop():
-            return run_fork_sim(config)
 
     def measure(result) -> Tuple[int, str]:
         blocks = len(result.eth_trace.numbers) + len(result.etc_trace.numbers)
@@ -244,11 +248,10 @@ def _forksim_case(
         {
             "days": days,
             "with_transactions": with_transactions,
-            "seed": seed,
+            "seed": SEED,
         },
         "blocks",
         fast,
-        reference,
         measure,
         repeats,
         measure_memory=True,
@@ -258,7 +261,6 @@ def _forksim_case(
 def _forksim_analysis_case(
     name: str,
     days: int,
-    seed: int,
     repeats: int,
     memory_min_ratio: float,
 ) -> Dict[str, Any]:
@@ -284,7 +286,7 @@ def _forksim_analysis_case(
     config = ForkSimConfig(
         days=days,
         prefork_days=7,
-        seed=seed,
+        seed=SEED,
         with_transactions=True,
     )
     result = run_fork_sim(config)
@@ -336,13 +338,13 @@ def _forksim_analysis_case(
 
     return _case_row(
         name,
-        {"days": days, "with_transactions": True, "seed": seed},
+        {"days": days, "with_transactions": True, "seed": SEED},
         "blocks",
         analyze(columnar=True),
-        analyze(columnar=False),
         measure,
         repeats,
         measure_memory=True,
+        reference_fn=analyze(columnar=False),
         memory_min_ratio=memory_min_ratio,
     )
 
@@ -359,30 +361,26 @@ def _eventloop_chain_case(ticks: int, repeats: int) -> Dict[str, Any]:
     """
     from ..net.simulator import Simulator
 
-    def run(sim_cls):
-        def thunk():
-            sim = sim_cls()
-            fired: List[int] = []
-            append = fired.append
-            # ``schedule`` binds once per run: the case measures the
-            # engine, not repeated attribute lookups in the harness
-            # closure.
-            schedule = sim.schedule
+    def run():
+        sim = Simulator()
+        fired: List[int] = []
+        append = fired.append
+        # ``schedule`` binds once per run: the case measures the engine,
+        # not repeated attribute lookups in the harness closure.
+        schedule = sim.schedule
 
-            def make(period: float, label: int):
-                def tick() -> None:
-                    append(label)
-                    if sim.now < ticks:
-                        schedule(period, tick)
+        def make(period: float, label: int):
+            def tick() -> None:
+                append(label)
+                if sim.now < ticks:
+                    schedule(period, tick)
 
-                return tick
+            return tick
 
-            for label, period in enumerate((1.0, 1.7, 2.3, 3.1)):
-                sim.schedule(period, make(period, label))
-            sim.run_until(float(ticks))
-            return sim.events_processed, fired
-
-        return thunk
+        for label, period in enumerate((1.0, 1.7, 2.3, 3.1)):
+            sim.schedule(period, make(period, label))
+        sim.run_until(float(ticks))
+        return sim.events_processed, fired
 
     def measure(value) -> Tuple[int, str]:
         processed, fired = value
@@ -395,81 +393,7 @@ def _eventloop_chain_case(ticks: int, repeats: int) -> Dict[str, Any]:
         "eventloop_chain",
         {"ticks": ticks, "timers": 4},
         "events",
-        run(Simulator),
-        run(ReferenceSimulator),
-        measure,
-        repeats,
-    )
-
-
-def _eventloop_bucket_case(events: int, repeats: int) -> Dict[str, Any]:
-    """Calendar-queue microbench: a dense, self-sustaining event storm.
-
-    Drives the schedulers at partition-scenario arrival rates: every
-    fired event draws from a per-run seeded RNG and schedules followers
-    — usually nearby (dense buckets), sometimes a same-timestamp burst
-    of three (FIFO ties inside one bucket), occasionally a far jump
-    (the sparse tail the heap fallback covers).  Fast arm =
-    :class:`~repro.net.bucketqueue.BucketSimulator`; reference arm =
-    the seed heapq loop.  Both arms replay the identical schedule
-    because the RNG is only consumed inside callbacks, in firing order
-    — which is exactly what the digest then locks down.
-    """
-    import itertools
-    import random as _random
-
-    from ..net.bucketqueue import BucketSimulator
-
-    def run(sim_cls):
-        def thunk():
-            sim = sim_cls()
-            rng = _random.Random(0xB0C5)
-            random_ = rng.random
-            fired: List[int] = []
-            append = fired.append
-            schedule = sim.schedule
-            ids = itertools.count()
-
-            def spawn():
-                label = next(ids)
-
-                def callback() -> None:
-                    append(label)
-                    if len(fired) >= events:
-                        return
-                    u = random_()
-                    if u < 0.30:
-                        delay = random_() * 0.5
-                        for _ in range(3):
-                            schedule(delay, spawn())
-                    elif u < 0.85:
-                        schedule(random_() * 1.5, spawn())
-                    else:
-                        schedule(10.0 + random_() * 40.0, spawn())
-
-                return callback
-
-            for _ in range(64):
-                schedule(random_() * 1.0, spawn())
-            sim.run_until(1e9)
-            return sim.events_processed, fired
-
-        return thunk
-
-    def measure(value) -> Tuple[int, str]:
-        processed, fired = value
-        hasher = hashlib.sha256()
-        for label in fired:
-            hasher.update(label.to_bytes(8, "little"))
-        hasher.update(str(processed).encode())
-        return processed, hasher.hexdigest()
-
-    return _case_row(
-        "eventloop_bucket",
-        {"events": events, "seeds": 64},
-        "events",
-        run(BucketSimulator),
-        run(ReferenceSimulator),
+        run,
         measure,
         repeats,
     )
@@ -506,41 +430,25 @@ def _scenario_case(
     from ..net.simulator import Simulator
     from ..scenarios.partition_event import PartitionScenario
 
-    def run(sim_cls, reference: bool):
-        def thunk():
-            sims: List[Simulator] = []
+    def run():
+        sims: List[Simulator] = []
 
-            def factory(**kwargs):
-                sim = sim_cls(**kwargs)
-                sims.append(sim)
-                return sim
+        def factory(**kwargs):
+            sim = Simulator(**kwargs)
+            sims.append(sim)
+            return sim
 
-            scenario = PartitionScenario(config, simulator_factory=factory)
-            if reference:
-                with reference_event_loop():
-                    result = scenario.run()
-            else:
-                result = scenario.run()
-            return result, sims[-1].events_processed
-
-        return thunk
+        result = PartitionScenario(config, simulator_factory=factory).run()
+        return result, sims[-1].events_processed
 
     def measure(value) -> Tuple[int, str]:
         result, events = value
         return events, _partition_digest(result)
 
-    return _case_row(
-        name,
-        params,
-        "events",
-        run(Simulator, reference=False),
-        run(ReferenceSimulator, reference=True),
-        measure,
-        repeats,
-    )
+    return _case_row(name, params, "events", run, measure, repeats)
 
 
-def _partition_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
+def _partition_case(smoke: bool, repeats: int) -> Dict[str, Any]:
     from ..scenarios.partition_event import PartitionScenarioConfig
 
     if smoke:
@@ -551,14 +459,14 @@ def _partition_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
         num_nodes=params["num_nodes"],
         num_miners=params["num_miners"],
         post_fork_horizon=params["horizon"],
-        seed=seed,
+        seed=SEED,
     )
     return _scenario_case(
-        "partition", config, dict(params, seed=seed), repeats
+        "partition", config, dict(params, seed=SEED), repeats
     )
 
 
-def _chaos_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
+def _chaos_case(smoke: bool, repeats: int) -> Dict[str, Any]:
     from ..harness.faultsweep import FaultSweepConfig
 
     if smoke:
@@ -583,48 +491,41 @@ def _chaos_case(smoke: bool, seed: int, repeats: int) -> Dict[str, Any]:
         num_nodes=params["num_nodes"],
         num_miners=params["num_miners"],
         post_fork_horizon=params["horizon"],
-        seed=seed,
+        seed=SEED,
     )
     config = sweep.cell_config(
         params["churn"], params["loss"], params["split"]
     )
     return _scenario_case(
-        "chaos_partition", config, dict(params, seed=seed), repeats
+        "chaos_partition", config, dict(params, seed=SEED), repeats
     )
 
 
 # -- report assembly --------------------------------------------------------
 
 
-def _build_case(
-    case: str, smoke: bool, seed: int, repeats: int
-) -> Dict[str, Any]:
+def _build_case(case: str, smoke: bool, repeats: int) -> Dict[str, Any]:
     if case == "forksim_difficulty":
-        return _forksim_case(
-            case, 8 if smoke else 270, False, seed, repeats
-        )
+        return _forksim_case(case, 8 if smoke else 270, False, repeats)
     if case == "forksim_workload":
-        return _forksim_case(case, 4 if smoke else 60, True, seed, repeats)
+        return _forksim_case(case, 4 if smoke else 60, True, repeats)
     if case == "forksim_analysis":
-        # Full mode runs the paper's 270-day horizon and enforces the
-        # ISSUE's >=5x peak-memory advantage for the columnar backend;
-        # smoke shrinks the horizon (the boxing overhead shrinks with
-        # it, so the gate loosens to 3x).
+        # Full mode runs the paper's 270-day horizon and enforces a >=5x
+        # peak-memory advantage for the columnar backend; smoke shrinks
+        # the horizon (the boxing overhead shrinks with it, so the gate
+        # loosens to 3x).
         return _forksim_analysis_case(
             case,
             8 if smoke else 270,
-            seed,
             repeats,
             memory_min_ratio=3.0 if smoke else 5.0,
         )
     if case == "eventloop_chain":
         return _eventloop_chain_case(5_000 if smoke else 150_000, repeats)
-    if case == "eventloop_bucket":
-        return _eventloop_bucket_case(20_000 if smoke else 300_000, repeats)
     if case == "partition":
-        return _partition_case(smoke, seed, repeats)
+        return _partition_case(smoke, repeats)
     if case == "chaos_partition":
-        return _chaos_case(smoke, seed, repeats)
+        return _chaos_case(smoke, repeats)
     raise ValueError(f"unknown bench case {case!r}")
 
 
@@ -637,27 +538,81 @@ def _host_info() -> Dict[str, str]:
     }
 
 
+def _baseline_rows(name: str, smoke: bool) -> Dict[str, Dict[str, Any]]:
+    """The committed full-mode rows of ``BENCH_<name>.json``, by case.
+
+    Empty in smoke mode, outside a source checkout, and when the
+    committed report was recorded on a different host: rates only
+    compare on the machine and interpreter that produced them.
+    """
+    if smoke:
+        return {}
+    try:
+        payload = json.loads((_BASELINE_DIR / f"BENCH_{name}.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    if payload.get("smoke") or payload.get("host") != _host_info():
+        return {}
+    return {row["case"]: row for row in payload.get("cases", [])}
+
+
+def _apply_gates(
+    row: Dict[str, Any], smoke: bool, baseline: Optional[Dict[str, Any]]
+) -> bool:
+    """Stamp the golden and baseline verdicts on ``row``; True if all pass.
+
+    ``digests_match`` requires the fast digest to equal the golden one
+    (and the live reference arm's, where the case has one).  A baseline
+    row with the same params adds ``rate_ok``: the fast rate must reach
+    :data:`RATE_FLOOR` times the committed rate.
+    """
+    golden = GOLDEN_DIGESTS["smoke" if smoke else "full"][row["case"]]
+    digest = row["fast"]["digest"]
+    row["golden"] = golden
+    row["digests_match"] = digest == golden and (
+        row.get("reference", {}).get("digest", digest) == digest
+    )
+    if baseline is not None and baseline.get("params") == row["params"]:
+        base_rate = baseline["fast"]["rate"]
+        rate = row["fast"]["rate"]
+        ratio = rate / base_rate if base_rate > 0 else float("inf")
+        row["baseline_rate"] = base_rate
+        row["rate_ratio"] = round(ratio, 3)
+        row["rate_ok"] = ratio >= RATE_FLOOR
+    return (
+        row["digests_match"]
+        and row.get("memory_ok", True)
+        and row.get("rate_ok", True)
+    )
+
+
 def _render_report(payload: Dict[str, Any]) -> str:
     lines = [
         f"bench report: {payload['name']}  ({payload['created']})",
-        f"{'case':<22} {'work':>10} {'fast s':>9} {'ref s':>9} "
-        f"{'speedup':>8} {'digests':>8}",
+        f"{'case':<22} {'work':>10} {'seconds':>9} {'rate':>12} "
+        f"{'golden':>7} {'vs base':>8}",
     ]
     for row in payload["cases"]:
+        ratio = row.get("rate_ratio")
         line = (
             f"{row['case']:<22} {row['fast']['work']:>10} "
-            f"{row['fast']['seconds']:>9.3f} "
-            f"{row['reference']['seconds']:>9.3f} "
-            f"{row['speedup']:>7.2f}x "
-            f"{'match' if row['digests_match'] else 'DIVERGE':>8}"
+            f"{row['fast']['seconds']:>9.3f} {row['fast']['rate']:>12.1f} "
+            f"{'match' if row['digests_match'] else 'DIVERGE':>7} "
+            + (f"{ratio:>7.2f}x" if ratio is not None else f"{'-':>8}")
         )
+        if not row.get("rate_ok", True):
+            line += " SLOW"
         if "memory_ratio" in row:
             line += (
                 f"  mem {row['memory_ratio']:.2f}x"
-                f"{' ok' if row.get('memory_ok', True) else ' REGRESSION'}"
+                f"{' ok' if row['memory_ok'] else ' REGRESSION'}"
             )
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_report(payload: Dict[str, Any]) -> List[str]:
@@ -678,11 +633,15 @@ def validate_report(payload: Dict[str, Any]) -> List[str]:
         return problems
     for row in payload["cases"]:
         label = row.get("case", "<unnamed>")
-        for key in ("case", "params", "fast", "reference", "speedup",
-                    "digests_match"):
+        for key in ("case", "params", "fast", "golden", "digests_match"):
             if key not in row:
                 problems.append(f"case {label}: missing key {key!r}")
-        for arm_name in ("fast", "reference"):
+        if not isinstance(row.get("golden"), str) or not row.get("golden"):
+            problems.append(f"case {label}: golden digest invalid")
+        if not isinstance(row.get("digests_match"), bool):
+            problems.append(f"case {label}: digests_match must be a bool")
+        arms = ["fast"] + (["reference"] if "reference" in row else [])
+        for arm_name in arms:
             arm = row.get(arm_name, {})
             for key in ("seconds", "work", "work_unit", "rate", "digest"):
                 if key not in arm:
@@ -691,39 +650,38 @@ def validate_report(payload: Dict[str, Any]) -> List[str]:
                     )
             if not isinstance(arm.get("digest"), str) or not arm.get("digest"):
                 problems.append(f"case {label}: {arm_name} digest invalid")
-        if not isinstance(row.get("digests_match"), bool):
-            problems.append(f"case {label}: digests_match must be a bool")
-        has_memory = (
-            "memory_ratio" in row
-            or "memory_ok" in row
-            or any(
-                "peak_bytes" in row.get(arm, {})
-                for arm in ("fast", "reference")
-            )
-        )
-        if payload.get("name") == "forksim" and not has_memory:
+        memory_arms = [
+            arm for arm in arms if "peak_bytes" in row.get(arm, {})
+        ]
+        if payload.get("name") == "forksim" and "fast" not in memory_arms:
             problems.append(
                 f"case {label}: forksim cases must carry memory accounting"
             )
-        if has_memory:
-            for arm_name in ("fast", "reference"):
-                peak = row.get(arm_name, {}).get("peak_bytes")
-                if not isinstance(peak, int) or peak < 0:
-                    problems.append(
-                        f"case {label}: {arm_name} peak_bytes invalid"
-                    )
-            if not isinstance(row.get("memory_ratio"), (int, float)):
+        for arm_name in memory_arms:
+            peak = row[arm_name]["peak_bytes"]
+            if not isinstance(peak, int) or peak < 0:
+                problems.append(f"case {label}: {arm_name} peak_bytes invalid")
+        if "reference" in row:
+            if "reference" not in memory_arms:
                 problems.append(
-                    f"case {label}: memory_ratio must be a number"
+                    f"case {label}: reference arm must carry peak_bytes"
                 )
+            for key in ("memory_ratio", "memory_min_ratio"):
+                if not _is_number(row.get(key)):
+                    problems.append(f"case {label}: {key} must be a number")
             if not isinstance(row.get("memory_ok"), bool):
                 problems.append(f"case {label}: memory_ok must be a bool")
+        if any(key in row for key in ("baseline_rate", "rate_ratio", "rate_ok")):
+            for key in ("baseline_rate", "rate_ratio"):
+                if not _is_number(row.get(key)):
+                    problems.append(f"case {label}: {key} must be a number")
+            if not isinstance(row.get("rate_ok"), bool):
+                problems.append(f"case {label}: rate_ok must be a bool")
     return problems
 
 
 def run_bench(
     smoke: bool = False,
-    seed: int = 2016_07_20,
     repeats: Optional[int] = None,
     only: Optional[Sequence[str]] = None,
     out_dir: str = ".",
@@ -733,11 +691,12 @@ def run_bench(
 ) -> Tuple[List[Path], bool]:
     """Run every selected case and write the ``BENCH_*.json`` reports.
 
-    Returns the written paths and whether every case's fast/reference
-    digests matched.  ``report_dir`` additionally gets a rendered text
-    table per report (None skips it).  ``profile`` re-runs each case's
-    fast arm once under :mod:`cProfile` (outside the timed region) and
-    writes ``profile_<case>.txt`` next to the text reports.
+    Returns the written paths and whether every gate passed (golden
+    digests, memory floors and, in full mode on the baseline's host,
+    rates).  ``report_dir`` additionally gets a rendered text table per
+    report (None skips it).  ``profile`` re-runs each case's fast arm
+    once under :mod:`cProfile` (outside the timed region) and writes
+    ``profile_<case>.txt`` next to the text reports.
     """
     global _PROFILE_DIR
     if repeats is None:
@@ -748,18 +707,12 @@ def run_bench(
         raise ValueError(
             f"--only must name reports from {sorted(_REPORTS)}, got {only}"
         )
-    created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    paths: List[Path] = []
-    all_match = True
     saved_profile_dir = _PROFILE_DIR
     if profile:
-        _PROFILE_DIR = Path(report_dir) if report_dir else Path(
-            "benchmarks/output"
-        )
+        _PROFILE_DIR = Path(report_dir or "benchmarks/output")
     try:
         return _run_bench_selected(
-            selected, smoke, seed, repeats, created, out_dir, report_dir,
-            paths, all_match, echo,
+            selected, smoke, repeats, out_dir, report_dir, echo
         )
     finally:
         _PROFILE_DIR = saved_profile_dir
@@ -768,41 +721,48 @@ def run_bench(
 def _run_bench_selected(
     selected: Dict[str, Sequence[str]],
     smoke: bool,
-    seed: int,
     repeats: int,
-    created: str,
     out_dir: str,
     report_dir: Optional[str],
-    paths: List[Path],
-    all_match: bool,
     echo: Callable[[str], None],
 ) -> Tuple[List[Path], bool]:
+    created = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    paths: List[Path] = []
+    all_ok = True
     for name, case_names in selected.items():
+        # Read before the report below overwrites it (out_dir defaults
+        # to the checkout root, where the baselines are committed).
+        baselines = _baseline_rows(name, smoke)
+        if not smoke and not baselines:
+            echo(f"bench: {name}: no committed baseline for this host; "
+                 "rate gate skipped")
         rows = []
         for case in case_names:
             echo(f"bench: {name}/{case} "
                  f"({'smoke' if smoke else 'full'}, repeats={repeats})...")
-            row = _build_case(case, smoke, seed, repeats)
-            echo(
-                f"bench: {name}/{case}: fast {row['fast']['seconds']:.3f}s "
-                f"vs reference {row['reference']['seconds']:.3f}s "
-                f"({row['speedup']:.2f}x, digests "
-                f"{'match' if row['digests_match'] else 'DIVERGE'})"
+            row = _build_case(case, smoke, repeats)
+            all_ok = _apply_gates(row, smoke, baselines.get(case)) and all_ok
+            fast = row["fast"]
+            line = (
+                f"bench: {name}/{case}: {fast['seconds']:.3f}s, "
+                f"{fast['rate']:,.1f} {fast['work_unit']}/s, digest "
+                f"{'matches golden' if row['digests_match'] else 'DIVERGES'}"
             )
+            if "rate_ratio" in row:
+                line += (
+                    f", {row['rate_ratio']:.2f}x baseline "
+                    f"({'ok' if row['rate_ok'] else 'RATE REGRESSION'})"
+                )
+            echo(line)
             if "memory_ratio" in row:
                 echo(
                     f"bench: {name}/{case}: tracemalloc peak "
-                    f"{row['fast']['peak_bytes']:,}B fast vs "
+                    f"{fast['peak_bytes']:,}B fast vs "
                     f"{row['reference']['peak_bytes']:,}B reference "
                     f"({row['memory_ratio']:.2f}x, "
                     f"{'ok' if row['memory_ok'] else 'MEMORY REGRESSION'})"
                 )
             rows.append(row)
-            all_match = (
-                all_match
-                and row["digests_match"]
-                and row.get("memory_ok", True)
-            )
             if _PROFILE_DIR is not None:
                 paths.append(_PROFILE_DIR / f"profile_{case}.txt")
         payload = {
@@ -825,7 +785,7 @@ def _run_bench_selected(
             report.parent.mkdir(parents=True, exist_ok=True)
             report.write_text(_render_report(payload))
             paths.append(report)
-    return paths, all_match
+    return paths, all_ok
 
 
 # -- CLI --------------------------------------------------------------------
@@ -835,12 +795,11 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``bench`` options (shared by ``python -m repro bench``
     and ``benchmarks/bench.py``)."""
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny horizons for CI: exercises both arms "
-                             "and the digest gate in seconds (timings "
+                        help="tiny horizons for CI: runs every case and "
+                             "the golden-digest gate in seconds (timings "
                              "are not meaningful)")
-    parser.add_argument("--seed", type=int, default=2016_07_20)
     parser.add_argument("--repeats", type=int, default=None,
-                        help="runs per arm, best wall time kept "
+                        help="timed runs per case, best wall time kept "
                              "(default: 3, or 1 with --smoke)")
     parser.add_argument("--only", type=str, nargs="+", default=None,
                         choices=sorted(_REPORTS),
@@ -862,9 +821,8 @@ def bench_from_args(args: argparse.Namespace) -> int:
         print("error: --repeats must be >= 1", file=sys.stderr)
         return 2
     try:
-        paths, all_match = run_bench(
+        paths, all_ok = run_bench(
             smoke=args.smoke,
-            seed=args.seed,
             repeats=args.repeats,
             only=args.only,
             out_dir=args.out_dir,
@@ -876,10 +834,10 @@ def bench_from_args(args: argparse.Namespace) -> int:
         return 2
     for path in paths:
         print(f"wrote {path}")
-    if not all_match:
-        print("error: fast/reference digests diverged or a memory gate "
-              "failed — the kernels changed the trajectory or lost "
-              "their footprint advantage", file=sys.stderr)
+    if not all_ok:
+        print("error: a result digest diverged from its golden digest, "
+              "a memory gate failed, or a rate fell below "
+              f"{RATE_FLOOR}x the committed baseline", file=sys.stderr)
         return 1
     return 0
 

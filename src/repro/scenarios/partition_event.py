@@ -31,6 +31,7 @@ from ..chain.chainstore import Blockchain
 from ..chain.config import ETC_CONFIG, ETH_CONFIG
 from ..chain.difficulty import equilibrium_difficulty
 from ..chain.genesis import build_genesis
+from ..data.windows import ordered_sum
 from ..faults.injector import FaultInjector
 from ..faults.report import (
     RobustnessReport,
@@ -245,8 +246,7 @@ class PartitionScenario:
         self.config = config or PartitionScenarioConfig()
         self.obs = obs
         #: Constructor seam for the event engine — the benchmark harness
-        #: injects :class:`repro.perf.reference.ReferenceSimulator` here
-        #: to time the scenario on the pre-optimization event loop.
+        #: wraps it to read the engine's event count after a run.
         self.simulator_factory = simulator_factory or Simulator
 
     def _span(self, label: str):
@@ -503,4 +503,4 @@ def _mean(values) -> float:
     values = list(values)
     if not values:
         return 0.0
-    return sum(values) / len(values)
+    return ordered_sum(values) / len(values)

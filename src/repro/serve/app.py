@@ -43,7 +43,6 @@ DEFAULT_ALLOWED_KINDS: Tuple[str, ...] = (
     "observations",
     "fork-lengths",
     "obs-probe",
-    "perf-probe",
 )
 
 

@@ -243,42 +243,6 @@ class BlockProducer:
         #: sampler — see :meth:`advance_batch`.
         self._solo_memo: Optional[Tuple[List[str], List[Optional[int]]]] = None
 
-    def advance_one(
-        self,
-        hashrate: float,
-        miner_sampler: Callable[[random.Random], str],
-        tx_sampler: Optional[Callable[[random.Random, float], Tuple[int, int]]] = None,
-    ) -> int:
-        """Mine exactly one block; returns its timestamp."""
-        if hashrate <= 0:
-            raise ValueError("cannot mine with zero hashrate")
-        interval = self.rng.expovariate(hashrate / self.difficulty)
-        # Consensus timestamps are integer seconds and must strictly
-        # increase; quantize but never collapse to zero.  Solving starts at
-        # the wall clock, which may sit past the head after an idle spell.
-        step = max(1, round(interval))
-        new_timestamp = max(self.timestamp + 1, self.clock + step)
-        new_number = self.number + 1
-        new_difficulty = self.config.compute_difficulty(
-            self.difficulty, self.timestamp, new_timestamp, new_number
-        )
-        tx_count, contract_count = (0, 0)
-        if tx_sampler is not None:
-            tx_count, contract_count = tx_sampler(self.rng, step)
-        self.trace.append(
-            number=new_number,
-            timestamp=new_timestamp,
-            difficulty=new_difficulty,
-            miner=miner_sampler(self.rng),
-            tx_count=tx_count,
-            contract_tx_count=contract_count,
-        )
-        self.number = new_number
-        self.timestamp = new_timestamp
-        self.clock = new_timestamp
-        self.difficulty = new_difficulty
-        return new_timestamp
-
     def advance_batch(
         self,
         n: int,
@@ -289,12 +253,15 @@ class BlockProducer:
     ) -> int:
         """Mine up to ``n`` blocks in one call; returns blocks produced.
 
-        The batched hot-loop kernel: trajectory-identical to ``n``
-        successive :meth:`advance_one` calls (stopping early once the
-        clock reaches ``end_timestamp``, when given) — RNG draws happen
-        in the exact same order (interval, then transactions, then the
-        winning miner), proven by the differential tests in
-        ``tests/test_perf_kernels.py``.  The speed comes from hoisting
+        Each block draws, in this order, its solve interval
+        (``expovariate(hashrate / difficulty)``, quantized to integer
+        seconds of at least one, started from the wall clock), its
+        transaction counts (when ``tx_sampler`` is given), and its
+        winning miner; the loop stops early once the clock reaches
+        ``end_timestamp``, when given.  That is the seed per-block
+        trajectory, pinned by the golden digests in
+        ``tests/test_perf_kernels.py``, and splitting a run into several
+        calls never moves it.  The speed comes from hoisting
         every attribute and method lookup out of the loop: the chain tip
         lives in locals, the three always-present trace columns buffer
         interleaved through one bound ``array.extend`` per block (de-
@@ -336,7 +303,7 @@ class BlockProducer:
         # ``finally`` so the columns stay aligned (complete blocks only)
         # even if a sampler raises mid-batch — the buffer gains a
         # block's triple only after every draw for that block succeeded,
-        # matching the reference path's exception behavior.
+        # so a failed block leaves no partial row.
         buf = array("q")
         put = buf.extend
         append_txs = trace.tx_counts.append
@@ -345,7 +312,7 @@ class BlockProducer:
         # The standard pool sampler publishes its closure parameters so
         # the categorical draw can run inline: one ``random()`` plus a
         # bisect (or a ``_randbelow`` on solo wins), with miner-label ids
-        # memoized lazily per index.  The memo preserves the reference
+        # memoized lazily per index.  The memo preserves the seed
         # path's first-win label interning order exactly — ids are only
         # assigned the first time a miner actually wins a block.
         parts = getattr(miner_sampler, "categorical_parts", None)
@@ -422,12 +389,12 @@ class BlockProducer:
         # always-true ones); every other combination runs the general
         # loop in the ``else`` branch.  All bodies are
         # expression-for-expression the same where they overlap, and all
-        # are held to the reference trajectory by the differential tests.
+        # are held to the golden seed trajectory by the tests.
         # The ``finally`` flush keeps the derived columns (numbers, the
         # zero-filled transaction columns) and the chain tip consistent
         # with whatever full blocks were appended, even if a sampler
-        # raises mid-batch — the same partial-progress state the
-        # reference per-call loop leaves behind.
+        # raises mid-batch — the same partial-progress state a
+        # per-block loop leaves behind.
         try:
             if homestead and inline_expo and inline_sampler and not has_tx:
                 for produced in range(1, n + 1):
@@ -446,7 +413,7 @@ class BlockProducer:
                     # producer code path (construction sets them equal,
                     # the loops keep them equal, the zero-hashrate stall
                     # only raises the clock), so with ``step >= 1`` the
-                    # reference path's ``new_timestamp <= timestamp``
+                    # seed rule's ``max(timestamp + 1, ...)``
                     # clamp can never fire — elided here; the digest
                     # gate would catch any divergence.
                     new_timestamp = clock + step
@@ -472,8 +439,8 @@ class BlockProducer:
                     difficulty += bomb_term
                     if difficulty < min_difficulty:
                         difficulty = min_difficulty
-                    # The winning-miner draw, in advance_one's exact RNG
-                    # order (no transaction draw in this loop); appends
+                    # The winning-miner draw, in the seed RNG order
+                    # (no transaction draw in this loop); appends
                     # only after every draw for the block succeeded.
                     point = rng_random()
                     if point >= pooled_mass:
@@ -507,7 +474,7 @@ class BlockProducer:
                         break
                     # Same body as the loop above, with the transaction
                     # draw between the interval and the winning miner —
-                    # advance_one's exact RNG order.
+                    # the seed RNG order.
                     interval = -_log(1.0 - rng_random()) / (
                         hashrate / difficulty
                     )
@@ -615,7 +582,7 @@ class BlockProducer:
                         difficulty = fast_rule(
                             difficulty, timestamp, new_timestamp, number
                         )
-                    # -- samplers, in advance_one's exact RNG draw order --
+                    # -- samplers, in the seed RNG draw order --
                     if has_tx:
                         tx_count, contract_count = tx_sampler(rng, step)
                     if inline_sampler:
@@ -674,13 +641,6 @@ class BlockProducer:
             self.difficulty = difficulty
         return produced
 
-    #: Class-level switch: ``False`` routes :meth:`run_until` through the
-    #: per-call reference loop instead of :meth:`advance_batch` — used by
-    #: :func:`repro.perf.reference.reference_block_loop` for differential
-    #: tests and benchmark baselines.  Trajectories are identical either
-    #: way.
-    use_batch_kernel = True
-
     def run_until(
         self,
         end_timestamp: int,
@@ -698,10 +658,6 @@ class BlockProducer:
         if hashrate <= 0:
             self.clock = max(self.clock, end_timestamp)
             return 0
-        if not self.use_batch_kernel:
-            return self._run_until_reference(
-                end_timestamp, hashrate, miner_sampler, tx_sampler, max_blocks
-            )
         produced = self.advance_batch(
             max_blocks + 1,
             hashrate,
@@ -714,26 +670,4 @@ class BlockProducer:
                 f"produced more than {max_blocks} blocks before "
                 f"t={end_timestamp}; runaway parameters?"
             )
-        return produced
-
-    def _run_until_reference(
-        self,
-        end_timestamp: int,
-        hashrate: float,
-        miner_sampler: Callable[[random.Random], str],
-        tx_sampler: Optional[Callable[[random.Random, float], Tuple[int, int]]] = None,
-        max_blocks: int = 5_000_000,
-    ) -> int:
-        """The pre-kernel per-block loop, kept verbatim as the oracle the
-        differential tests and benchmarks compare :meth:`advance_batch`
-        against."""
-        produced = 0
-        while self.clock < end_timestamp:
-            self.advance_one(hashrate, miner_sampler, tx_sampler)
-            produced += 1
-            if produced > max_blocks:
-                raise RuntimeError(
-                    f"produced more than {max_blocks} blocks before "
-                    f"t={end_timestamp}; runaway parameters?"
-                )
         return produced

@@ -164,8 +164,8 @@ class PoolLandscape:
         # (:meth:`repro.sim.blockprod.BlockProducer.advance_batch`) can
         # inline the categorical draw without an indirect call per block.
         # The inlined arithmetic mirrors the body above expression for
-        # expression; the differential tests hold both paths to identical
-        # winner sequences.
+        # expression; the golden-trajectory tests pin both paths to the
+        # seed winner sequences.
         sampler.categorical_parts = (
             cumulative,
             labels,
@@ -174,40 +174,6 @@ class PoolLandscape:
             solo_labels,
             last,
         )
-        return sampler
-
-    def make_sampler_reference(
-        self, day: float
-    ) -> Callable[[random.Random], str]:
-        """The pre-optimization sampler, kept verbatim as the oracle.
-
-        Draw-for-draw identical to :meth:`make_sampler` (one
-        ``rng.random()``, one ``rng.randrange`` on solo wins) but with
-        the original per-call costs (inner import, f-string solo labels,
-        ``min``/``len`` clamp).  :func:`repro.perf.reference` swaps this
-        in to measure the kernels against the seed-state hot loop, and
-        the differential tests assert both samplers yield identical
-        winner sequences.
-        """
-        weights = self.weights_on_day(day)
-        labels = list(weights)
-        cumulative: List[float] = []
-        running = 0.0
-        for label in labels:
-            running += weights[label]
-            cumulative.append(running)
-        pooled_mass = running
-        solo_count = self.solo_identities
-
-        def sampler(rng: random.Random) -> str:
-            point = rng.random()
-            if point >= pooled_mass:
-                return f"solo-{rng.randrange(solo_count):05d}"
-            import bisect
-
-            index = bisect.bisect_right(cumulative, point)
-            return labels[min(index, len(labels) - 1)]
-
         return sampler
 
 

@@ -131,14 +131,6 @@ class TestDropCounters:
         assert net.messages_lost > 0
         assert net.messages_undeliverable == 0
 
-    def test_deprecated_aggregate_warns_and_sums_all_classes(self):
-        sim, net, nodes = tiny_network()
-        net.messages_lost = 2
-        net.messages_undeliverable = 3
-        net.messages_blocked = 5
-        with pytest.warns(DeprecationWarning, match="messages_dropped"):
-            assert net.messages_dropped == 10
-
     def test_split_counters_do_not_warn(self):
         sim, net, nodes = tiny_network()
         net.send("n0", "ghost", Ping(sender_id="n0"))

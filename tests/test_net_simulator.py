@@ -1,8 +1,21 @@
 """Discrete-event engine: ordering, cancellation, determinism."""
 
+import random
+
 import pytest
 
 from repro.net.simulator import SimulationError, Simulator
+from repro.obs import Observability
+
+
+def plain():
+    return Simulator()
+
+
+def observed():
+    """The obs-enabled engine: ``run_until`` takes the observed loop and
+    every event pays the counter and trace bookkeeping."""
+    return Simulator(obs=Observability.enabled())
 
 
 class TestScheduling:
@@ -214,3 +227,132 @@ class TestScheduleValidation:
         sim.schedule(2.0, fired.append, "b")
         sim.run_all()
         assert fired == ["a", "b"]
+
+
+def run_storm(factory, seed, cap=2500):
+    """A deterministic, self-scheduling storm with ties and cancels.
+
+    The RNG is consumed only inside callbacks, in firing order — so two
+    engines stay in lockstep exactly as long as they fire identically,
+    and any ordering divergence snowballs into a different log.
+    """
+    sim = factory()
+    rng = random.Random(seed)
+    log = []
+    cancellable = []
+
+    def spawn(label):
+        def callback():
+            log.append((sim.now, label))
+            if len(log) >= cap:
+                return
+            u = rng.random()
+            if u < 0.30:
+                # Same-timestamp burst: three FIFO ties.
+                delay = rng.random() * 2.0
+                for i in range(3):
+                    cancellable.append(
+                        sim.schedule(delay, spawn(label * 7 + i + 1))
+                    )
+            elif u < 0.62:
+                sim.schedule(rng.random() * 5.0, spawn(label + 101))
+            elif u < 0.72 and cancellable:
+                cancellable.pop(rng.randrange(len(cancellable))).cancel()
+            elif u < 0.76:
+                # Rejected delays must not consume queue state.
+                with pytest.raises(SimulationError):
+                    sim.schedule(float("nan"), callback)
+            elif u < 0.80:
+                sim.schedule(25.0 + rng.random() * 100.0, spawn(label + 977))
+        return callback
+
+    for i in range(40):
+        cancellable.append(sim.schedule(rng.random() * 10.0, spawn(i)))
+    processed = [sim.run_until(horizon)
+                 for horizon in (6.0, 6.0, 21.5, 80.0, 400.0)]
+    processed.append(sim.run_all())
+    return log, processed, sim.events_processed, sim.now, sim.pending
+
+
+class TestObservedEngineEquivalence:
+    """The hot loop against the obs-enabled engine: same firing order,
+    same counts, for any legal schedule/cancel/run sequence."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 23, 1016])
+    def test_plain_and_observed_engines_agree(self, seed):
+        assert run_storm(plain, seed) == run_storm(observed, seed)
+
+    def test_fifo_among_equal_timestamps_with_nested_schedule(self):
+        """Ties fire in schedule order, and an event a tie schedules at
+        the running timestamp fires after the whole tie run."""
+        def run(factory):
+            sim = factory()
+            log = []
+
+            def tick(tag):
+                log.append((sim.now, tag))
+                if tag == "a0":
+                    sim.schedule(0.0, lambda: log.append((sim.now, "nested")))
+            for i in range(6):
+                sim.schedule(1.0, lambda i=i: tick(f"a{i}"))
+                sim.schedule(1.0 + 1e-12, lambda i=i: tick(f"b{i}"))
+            sim.run_until(5.0)
+            return log
+
+        log = run(plain)
+        assert [tag for _, tag in log[:7]] == [
+            "a0", "a1", "a2", "a3", "a4", "a5", "nested"
+        ]
+        assert log == run(observed)
+
+    def test_horizon_pause_then_earlier_schedule(self):
+        """After a horizon pause, a schedule targeting a time before the
+        pending event still fires first."""
+        def run(factory):
+            sim = factory()
+            log = []
+            sim.schedule(10.0, lambda: log.append("late"))
+            sim.run_until(2.0)  # fires nothing, but establishes now=2.0
+            sim.schedule(1.0, lambda: log.append("early"))  # t=3.0 < 10.0
+            sim.run_until(20.0)
+            return log
+
+        assert run(plain) == run(observed) == ["early", "late"]
+
+    def test_max_events_raises_identically(self):
+        def run(factory):
+            sim = factory()
+            fired = []
+            for i in range(10):
+                sim.schedule(float(i), lambda i=i: fired.append(i))
+            with pytest.raises(SimulationError):
+                sim.run_until(100.0, max_events=4)
+            # The budgeted entries fired; the rest are still queued.
+            resumed = sim.run_until(100.0)
+            return fired, resumed, sim.events_processed
+
+        assert run(plain) == run(observed)
+
+    def test_step_drains_cancelled_and_dispatches(self):
+        def run(factory):
+            sim = factory()
+            fired = []
+            sim.schedule(1.0, lambda: fired.append("keep"))
+            for _ in range(3):
+                sim.schedule(0.5, lambda: fired.append("dead")).cancel()
+            steps = []
+            while sim.step():
+                steps.append(sim.now)
+            return fired, steps, sim.events_processed, sim.pending
+
+        assert run(plain) == run(observed) == (["keep"], [1.0], 1, 0)
+
+    def test_run_all_budget_ignores_cancelled_tail(self):
+        def run(factory):
+            sim = factory()
+            for i in range(5):
+                sim.schedule(float(i), lambda: None)
+            sim.schedule(9.0, lambda: None).cancel()
+            return sim.run_all(max_events=5), sim.pending
+
+        assert run(plain) == run(observed) == (5, 0)

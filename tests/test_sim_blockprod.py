@@ -126,7 +126,7 @@ class TestBlockProducer:
         producer = make_producer(difficulty=14_000_000)
         producer.run_until(1_000_000 + 3600, hashrate=0, miner_sampler=miner())
         difficulty_before = producer.difficulty
-        producer.advance_one(hashrate=1e6, miner_sampler=miner())
+        assert producer.advance_batch(1, 1e6, miner()) == 1
         delta = producer.timestamp - 1_000_000
         assert delta >= 3600
         assert producer.difficulty < difficulty_before
@@ -161,6 +161,6 @@ class TestBlockProducer:
                 1_000_000 + 86_400 * 300, 1e12, miner(), max_blocks=1000
             )
 
-    def test_advance_one_rejects_zero_hashrate(self):
+    def test_advance_batch_rejects_zero_hashrate(self):
         with pytest.raises(ValueError):
-            make_producer().advance_one(0, miner())
+            make_producer().advance_batch(1, 0, miner())

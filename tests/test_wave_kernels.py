@@ -1,12 +1,17 @@
-"""Differential tests: delivery-wave kernels, dispatch table, SoA stats.
+"""Golden-trajectory tests: delivery-wave kernels, dispatch table, SoA stats.
 
 The wave kernels (:meth:`Network._send_wave_plain` /
 :meth:`Network._send_wave_general`) must consume RNG draws in exactly
-the per-send reference order and enqueue byte-identical deliveries; the
-exact-type dispatch table must be observationally identical to the seed
-``isinstance`` ladder; the block-sync pre-checks must reproduce
-``import_block``'s verdicts; and :class:`NodeStats` must read like the
-dict it replaced.
+the per-send order and enqueue byte-identical deliveries; the exact-type
+dispatch table must pick the handler the ``isinstance`` ladder picks;
+the block-sync pre-checks must reproduce ``import_block``'s verdicts;
+and :class:`NodeStats` must read like the dict it replaced.
+
+Each differential test runs two live arms — the plain fast path, and the
+obs-enabled product path (every send walks the full transport ladder and
+every block pays the full import chain) — and pins
+the result to the golden digest in :mod:`repro.perf.golden`, recorded
+from the seed-state reference event loop.
 """
 
 from dataclasses import replace
@@ -16,17 +21,19 @@ import pytest
 from repro.chain.chainstore import Blockchain
 from repro.chain.config import ETH_CONFIG
 from repro.chain.genesis import build_genesis
+from repro.net import messages as messages_module
 from repro.net.latency import (
     ConstantLatency,
     GeographicLatency,
     LognormalLatency,
 )
-from repro.net.messages import GetBlocks, NewBlock, NewBlockHashes
+from repro.net.messages import Blocks, GetBlocks, NewBlock, NewBlockHashes
 from repro.net.network import Network
-from repro.net.node import FullNode
+from repro.net.node import _DISPATCH, FullNode
 from repro.net.simulator import Simulator
+from repro.obs import Observability
 from repro.perf.bench import run_bench
-from repro.perf.reference import reference_event_loop
+from repro.perf.golden import TRAJECTORIES, value_digest
 from repro.perf.soa import NodeStats
 
 CFG = replace(ETH_CONFIG, dao_fork_block=10**9, bomb_delay=10**9)
@@ -37,9 +44,16 @@ def make_genesis():
     return genesis
 
 
-def build_net(latency, seed=7, num_nodes=12, offline=(3,)):
+def make_sim(observed):
+    """The plain engine, or the obs-enabled one — which routes the
+    network onto the full send ladder and the nodes onto the full block
+    import chain."""
+    return Simulator(obs=Observability.enabled()) if observed else Simulator()
+
+
+def build_net(latency, observed=False, seed=7, num_nodes=12, offline=(3,)):
     genesis = make_genesis()
-    sim = Simulator()
+    sim = make_sim(observed)
     net = Network(sim, latency=latency, seed=seed)
     regions = ("eu", "us", "asia")
     for i in range(num_nodes):
@@ -55,8 +69,15 @@ def build_net(latency, seed=7, num_nodes=12, offline=(3,)):
     return sim, net, genesis
 
 
+def recipient(handle):
+    """Traced runs deliver through the network's trampoline, whose first
+    argument is the recipient node."""
+    owner = handle.callback.__self__
+    return owner.name if isinstance(owner, FullNode) else handle.args[0].name
+
+
 def queue_snapshot(sim):
-    return sorted((t, s, h.callback.__self__.name) for t, s, h in sim._queue)
+    return sorted((t, s, recipient(h)) for t, s, h in sim._queue)
 
 
 def transport_counters(net):
@@ -75,82 +96,56 @@ LATENCIES = [
 ]
 
 
-class TestPlainWaveKernel:
-    @pytest.mark.parametrize("latency", LATENCIES)
-    def test_wave_matches_per_send_loop(self, latency):
-        def run(reference):
-            sim, net, _ = build_net(latency)
-            message = NewBlockHashes(sender_id="n0", hashes=())
-            destinations = [f"n{i}" for i in range(1, 12)]
-            if reference:
-                with reference_event_loop():
-                    net.send_wave("n0", destinations, message)
-            else:
-                net.send_wave("n0", destinations, message)
-            return (
-                queue_snapshot(sim),
-                net.sim_rng.getstate(),
-                transport_counters(net),
-            )
-
-        assert run(reference=False) == run(reference=True)
-
-    @pytest.mark.parametrize("latency", LATENCIES)
-    def test_single_send_matches_reference(self, latency):
-        def run(reference):
-            sim, net, _ = build_net(latency)
-            message = GetBlocks(sender_id="n0", hashes=())
-            if reference:
-                with reference_event_loop():
-                    for dest in ("n1", "n2", "n3", "n4"):
-                        net.send("n0", dest, message)
-            else:
-                for dest in ("n1", "n2", "n3", "n4"):
-                    net.send("n0", dest, message)
-            return (
-                queue_snapshot(sim),
-                net.sim_rng.getstate(),
-                transport_counters(net),
-            )
-
-        assert run(reference=False) == run(reference=True)
+def latency_key(latency):
+    return type(latency).__name__
 
 
-class TestGeneralWaveKernel:
-    @pytest.mark.parametrize("latency", LATENCIES[:2])
-    def test_loss_and_tracking_match_per_send_loop(self, latency):
-        def run(reference):
-            genesis = make_genesis()
-            sim = Simulator()
-            net = Network(sim, latency=latency, seed=11, loss_rate=0.2)
-            net.track_block_propagation = True
-            for i in range(10):
-                node = FullNode(
-                    f"n{i}",
-                    Blockchain(CFG, genesis, execute_transactions=False),
-                    region=("eu", "us")[i % 2],
-                    rng_seed=200 + i,
-                )
-                net.add_node(node)
-            net.nodes["n5"].online = False
-            message = NewBlock(
-                sender_id="n0", block=genesis, total_difficulty=1
-            )
-            destinations = [f"n{i}" for i in range(1, 10)]
-            if reference:
-                with reference_event_loop():
-                    net.send_wave("n0", destinations, message)
-            else:
-                net.send_wave("n0", destinations, message)
-            return (
-                queue_snapshot(sim),
-                net.sim_rng.getstate(),
-                transport_counters(net),
-                dict(net._block_first_sent),
-                list(net._block_delivery_delays),
-            )
+def wave_run(latency, observed=False):
+    sim, net, _ = build_net(latency, observed)
+    message = NewBlockHashes(sender_id="n0", hashes=())
+    net.send_wave("n0", [f"n{i}" for i in range(1, 12)], message)
+    return (
+        queue_snapshot(sim),
+        net.sim_rng.getstate(),
+        transport_counters(net),
+    )
 
-        assert run(reference=False) == run(reference=True)
+
+def single_send_run(latency, observed=False):
+    sim, net, _ = build_net(latency, observed)
+    message = GetBlocks(sender_id="n0", hashes=())
+    for dest in ("n1", "n2", "n3", "n4"):
+        net.send("n0", dest, message)
+    return (
+        queue_snapshot(sim),
+        net.sim_rng.getstate(),
+        transport_counters(net),
+    )
+
+
+def general_wave_run(latency, observed=False):
+    genesis = make_genesis()
+    sim = make_sim(observed)
+    net = Network(sim, latency=latency, seed=11, loss_rate=0.2)
+    net.track_block_propagation = True
+    for i in range(10):
+        node = FullNode(
+            f"n{i}",
+            Blockchain(CFG, genesis, execute_transactions=False),
+            region=("eu", "us")[i % 2],
+            rng_seed=200 + i,
+        )
+        net.add_node(node)
+    net.nodes["n5"].online = False
+    message = NewBlock(sender_id="n0", block=genesis, total_difficulty=1)
+    net.send_wave("n0", [f"n{i}" for i in range(1, 10)], message)
+    return (
+        queue_snapshot(sim),
+        net.sim_rng.getstate(),
+        transport_counters(net),
+        dict(net._block_first_sent),
+        list(net._block_delivery_delays),
+    )
 
 
 def mine_some_blocks(n=4):
@@ -174,165 +169,171 @@ def mine_some_blocks(n=4):
     return genesis, chain
 
 
+def sync_pair(genesis, observed):
+    sim = make_sim(observed)
+    net = Network(sim, latency=ConstantLatency(0.05), seed=5)
+    node = FullNode(
+        "sync",
+        Blockchain(CFG, genesis, execute_transactions=False),
+        rng_seed=9,
+    )
+    peer = FullNode(
+        "peer",
+        Blockchain(CFG, genesis, execute_transactions=False),
+        rng_seed=10,
+    )
+    net.add_node(node)
+    net.add_node(peer)
+    return sim, node
+
+
+def announced_blocks_run(genesis, blocks, observed=False):
+    sim, node = sync_pair(genesis, observed)
+    feed = [
+        NewBlock(sender_id="peer", block=blocks[2],
+                 total_difficulty=0),  # orphan: parents missing
+        NewBlock(sender_id="peer", block=blocks[0],
+                 total_difficulty=0),  # imports
+        NewBlock(sender_id="peer", block=blocks[0],
+                 total_difficulty=0),  # seen -> dropped
+        NewBlock(sender_id="peer", block=genesis,
+                 total_difficulty=0),  # known
+    ]
+    for message in feed:
+        node.receive(message)
+    return (
+        sorted(node.seen_blocks._seen),
+        sorted(node.chain.block_index),
+        dict(node._requested_parents),
+        node.chain.head.block_hash,
+        queue_snapshot(sim),
+        node.stats.as_dict(),
+    )
+
+
+def served_batch_run(genesis, blocks, observed=False):
+    sim, node = sync_pair(genesis, observed)
+    # Mixed batch: known genesis, an importable run, an orphan (its
+    # parent deliberately withheld), and a duplicate.
+    node.receive(
+        Blocks(
+            sender_id="peer",
+            blocks=(genesis, blocks[0], blocks[1], blocks[3], blocks[1]),
+        )
+    )
+    return (
+        sorted(node.seen_blocks._seen),
+        sorted(node.chain.block_index),
+        dict(node._requested_parents),
+        queue_snapshot(sim),
+    )
+
+
+def mining_run(observed=False):
+    genesis = make_genesis()
+    sim = make_sim(observed)
+    net = Network(sim, latency=ConstantLatency(0.05), seed=21)
+    nodes = []
+    for i in range(6):
+        node = FullNode(
+            f"n{i}",
+            Blockchain(CFG, genesis, execute_transactions=False),
+            mining_hashrate=5e4 if i < 2 else 0.0,
+            rng_seed=300 + i,
+        )
+        net.add_node(node)
+        nodes.append(node)
+    net.bootstrap_mesh(target_degree=4)
+    for node in nodes[:2]:
+        node.start_mining()
+    sim.run_until(900.0)
+    return (
+        [node.chain.head.block_hash for node in nodes],
+        [node.stats.as_dict() for node in nodes],
+        [sorted(node.peers) for node in nodes],
+        sim.events_processed,
+        net.sim_rng.getstate(),
+        transport_counters(net),
+    )
+
+
+def assert_golden(run, key, *args):
+    fast = run(*args)
+    assert fast == run(*args, observed=True)
+    assert value_digest(fast) == TRAJECTORIES[key]
+    return fast
+
+
+class TestPlainWaveKernel:
+    @pytest.mark.parametrize("latency", LATENCIES)
+    def test_wave_matches_per_send_loop(self, latency):
+        assert_golden(
+            wave_run, f"wave/plain/{latency_key(latency)}", latency
+        )
+
+    @pytest.mark.parametrize("latency", LATENCIES)
+    def test_single_send_matches_golden(self, latency):
+        assert_golden(
+            single_send_run, f"send/plain/{latency_key(latency)}", latency
+        )
+
+
+class TestGeneralWaveKernel:
+    @pytest.mark.parametrize("latency", LATENCIES[:2])
+    def test_loss_and_tracking_match_per_send_loop(self, latency):
+        assert_golden(
+            general_wave_run, f"wave/general/{latency_key(latency)}", latency
+        )
+
+
 class TestBlockSyncPrechecks:
-    def test_known_and_orphan_shortcuts_match_reference(self):
+    def test_known_and_orphan_shortcuts_match_full_import(self):
         genesis, blocks = mine_some_blocks(4)
+        assert_golden(
+            announced_blocks_run, "blocksync/announced", genesis, blocks
+        )
 
-        def node_state(node):
-            return (
-                sorted(node.seen_blocks._seen),
-                sorted(node.chain.block_index),
-                dict(node._requested_parents),
-                node.chain.head.block_hash,
-                queue_snapshot(node.network.sim),
-                node.stats.as_dict(),
-            )
-
-        def run(reference):
-            sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.05), seed=5)
-            node = FullNode(
-                "sync",
-                Blockchain(CFG, genesis, execute_transactions=False),
-                rng_seed=9,
-            )
-            peer = FullNode(
-                "peer",
-                Blockchain(CFG, genesis, execute_transactions=False),
-                rng_seed=10,
-            )
-            net.add_node(node)
-            net.add_node(peer)
-            feed = [
-                NewBlock(sender_id="peer", block=blocks[2],
-                         total_difficulty=0),  # orphan: parents missing
-                NewBlock(sender_id="peer", block=blocks[0],
-                         total_difficulty=0),  # imports
-                NewBlock(sender_id="peer", block=blocks[0],
-                         total_difficulty=0),  # seen -> dropped
-                NewBlock(sender_id="peer", block=genesis,
-                         total_difficulty=0),  # known
-            ]
-            if reference:
-                with reference_event_loop():
-                    for message in feed:
-                        node.receive(message)
-            else:
-                for message in feed:
-                    node.receive(message)
-            return node_state(node)
-
-        assert run(reference=False) == run(reference=True)
-
-    def test_served_batch_matches_reference(self):
+    def test_served_batch_matches_full_import(self):
         genesis, blocks = mine_some_blocks(4)
-        from repro.net.messages import Blocks as BlocksMsg
-
-        def run(reference):
-            sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.05), seed=5)
-            node = FullNode(
-                "sync",
-                Blockchain(CFG, genesis, execute_transactions=False),
-                rng_seed=9,
-            )
-            peer = FullNode(
-                "peer",
-                Blockchain(CFG, genesis, execute_transactions=False),
-                rng_seed=10,
-            )
-            net.add_node(node)
-            net.add_node(peer)
-            # Mixed batch: known genesis, an importable run, an orphan
-            # (its parent deliberately withheld), and a duplicate.
-            batch = BlocksMsg(
-                sender_id="peer",
-                blocks=(genesis, blocks[0], blocks[1], blocks[3], blocks[1]),
-            )
-            if reference:
-                with reference_event_loop():
-                    node.receive(batch)
-            else:
-                node.receive(batch)
-            return (
-                sorted(node.seen_blocks._seen),
-                sorted(node.chain.block_index),
-                dict(node._requested_parents),
-                queue_snapshot(sim),
-            )
-
-        fast = run(reference=False)
-        ref = run(reference=True)
-        assert fast == ref
+        fast = assert_golden(
+            served_batch_run, "blocksync/served_batch", genesis, blocks
+        )
         # The orphan follow-up actually happened (one GetBlocks queued).
         assert fast[2]
 
 
 class TestDispatchEquivalence:
     def test_full_mining_run_identical_under_reference_swaps(self):
-        def run(reference):
-            genesis = make_genesis()
-            sim = Simulator()
-            net = Network(sim, latency=ConstantLatency(0.05), seed=21)
-            nodes = []
-            for i in range(6):
-                node = FullNode(
-                    f"n{i}",
-                    Blockchain(CFG, genesis, execute_transactions=False),
-                    mining_hashrate=5e4 if i < 2 else 0.0,
-                    rng_seed=300 + i,
-                )
-                net.add_node(node)
-                nodes.append(node)
-            if reference:
-                with reference_event_loop():
-                    net.bootstrap_mesh(target_degree=4)
-                    for node in nodes[:2]:
-                        node.start_mining()
-                    sim.run_until(900.0)
+        # The golden digest was recorded with the seed-state receive
+        # ladder, routing-table observe and block-sync handlers swapped
+        # in; the live second arm is the obs-enabled product path.
+        assert_golden(mining_run, "dispatch/mining_run")
+
+    def test_dispatch_table_matches_ladder(self):
+        message_types = [
+            cls
+            for cls in vars(messages_module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, messages_module.Message)
+            and cls is not messages_module.Message
+        ]
+        for message_type in message_types:
+            calls = []
+
+            class Recorder:
+                def __getattr__(self, name, calls=calls):
+                    return lambda message: calls.append(name)
+
+            message = message_type.__new__(message_type)
+            FullNode._dispatch_ladder(Recorder(), message)
+            handler = _DISPATCH.get(message_type)
+            if handler is None:
+                # Ping/Pong: consumed by the resilience preamble, and
+                # ignored by the ladder, never dispatched.
+                assert calls == [], message_type
             else:
-                net.bootstrap_mesh(target_degree=4)
-                for node in nodes[:2]:
-                    node.start_mining()
-                sim.run_until(900.0)
-            return (
-                [node.chain.head.block_hash for node in nodes],
-                [node.stats.as_dict() for node in nodes],
-                [sorted(node.peers) for node in nodes],
-                sim.events_processed,
-                net.sim_rng.getstate(),
-                transport_counters(net),
-            )
-
-        assert run(reference=False) == run(reference=True)
-
-    def test_reference_swaps_are_restored(self):
-        from repro.net.kademlia import RoutingTable
-
-        saved = (
-            Network.use_fast_path,
-            FullNode.receive,
-            RoutingTable.observe,
-            FullNode._on_new_block,
-            FullNode._on_blocks,
-            FullNode._on_new_block_hashes,
-            FullNode._on_get_blocks,
-        )
-        with reference_event_loop():
-            assert Network.use_fast_path is False
-            assert FullNode.receive is FullNode.receive_reference
-            assert RoutingTable.observe is RoutingTable.observe_reference
-            assert FullNode._on_new_block is FullNode._on_new_block_reference
-            assert FullNode._on_blocks is FullNode._on_blocks_reference
-        assert (
-            Network.use_fast_path,
-            FullNode.receive,
-            RoutingTable.observe,
-            FullNode._on_new_block,
-            FullNode._on_blocks,
-            FullNode._on_new_block_hashes,
-            FullNode._on_get_blocks,
-        ) == saved
+                assert calls == [handler.__name__], message_type
+                assert getattr(FullNode, calls[0]) is handler
 
 
 class TestNodeStats:
